@@ -390,12 +390,7 @@ impl SalesApplication {
                 owners_among_similar: owners[p],
             })
             .collect();
-        out.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .expect("finite scores")
-                .then(a.product.cmp(&b.product))
-        });
+        out.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.product.cmp(&b.product)));
         out
     }
 

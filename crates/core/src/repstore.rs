@@ -293,8 +293,8 @@ impl RepStore {
     }
 
     /// Original row of the first representation containing a non-finite
-    /// value, if any. Callers must refuse to rank such a store (the
-    /// k-selection would panic on a NaN distance mid-scan).
+    /// value, if any. Callers must refuse to rank such a store (a NaN
+    /// distance would rank by its bit pattern, not by any similarity).
     pub fn first_non_finite(&self) -> Option<u32> {
         self.first_non_finite
     }

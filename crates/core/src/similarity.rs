@@ -43,10 +43,7 @@ impl PartialOrd for HeapEntry {
 }
 impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.1
-            .partial_cmp(&other.1)
-            .expect("finite distances")
-            .then(self.0.cmp(&other.0))
+        self.1.total_cmp(&other.1).then(self.0.cmp(&other.0))
     }
 }
 
@@ -76,10 +73,8 @@ impl TopK {
     }
 
     /// Offers one candidate; kept only if it beats the current worst (or
-    /// capacity remains).
-    ///
-    /// # Panics
-    /// Panics if `distance` is NaN.
+    /// capacity remains). Distances order by [`f64::total_cmp`], so a NaN
+    /// never panics: a positive NaN ranks after every number.
     #[inline]
     pub fn push(&mut self, index: usize, distance: f64) {
         if self.k == 0 {
@@ -88,10 +83,16 @@ impl TopK {
         let entry = HeapEntry(index, distance);
         if self.heap.len() < self.k {
             self.heap.push(entry);
-        } else if entry < *self.heap.peek().expect("non-empty at capacity") {
-            self.heap.push(entry);
-            self.heap.pop();
+            return;
         }
+        let worst = self.heap.peek().expect("non-empty at capacity");
+        // A float `>` implies `total_cmp` is `Greater`, so this cheaper test
+        // rejects most candidates without changing which are kept.
+        if distance > worst.1 || entry >= *worst {
+            return;
+        }
+        self.heap.push(entry);
+        self.heap.pop();
     }
 
     /// The kept candidates, ascending by `(distance, index)`.
@@ -101,11 +102,7 @@ impl TopK {
             .into_iter()
             .map(|HeapEntry(i, d)| (i, d))
             .collect();
-        out.sort_by(|a, b| {
-            a.1.partial_cmp(&b.1)
-                .expect("finite distances")
-                .then(a.0.cmp(&b.0))
-        });
+        out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         out
     }
 }
@@ -114,10 +111,7 @@ impl TopK {
 /// `(distance, row)` order, via a bounded max-heap: `O(n log k)` and `O(k)`
 /// memory instead of sorting all `n` candidates. Exact — the result is
 /// identical (including tie-breaks) to sorting the full candidate list and
-/// truncating to `k`.
-///
-/// # Panics
-/// Panics if a distance is NaN.
+/// truncating to `k`. A NaN distance ranks as in [`TopK::push`].
 pub fn bounded_top_k(
     candidates: impl Iterator<Item = (usize, f64)>,
     k: usize,
@@ -345,6 +339,19 @@ mod tests {
             sorted.truncate(k);
             assert_eq!(bounded_top_k(dists.iter().copied(), k), sorted, "k={k}");
         }
+    }
+
+    #[test]
+    fn nan_distances_rank_last_instead_of_panicking() {
+        let cands = [(0, f64::NAN), (1, 0.5), (2, 0.1), (3, f64::NAN), (4, 0.3)];
+        let ids = |k| -> Vec<usize> {
+            bounded_top_k(cands.into_iter(), k)
+                .iter()
+                .map(|c| c.0)
+                .collect()
+        };
+        assert_eq!(ids(3), [2, 4, 1]);
+        assert_eq!(ids(5), [2, 4, 1, 0, 3]);
     }
 
     #[test]

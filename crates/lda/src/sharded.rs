@@ -17,8 +17,10 @@
 //!    values, in the same order as the in-memory merge (hlm-par's
 //!    ordered-reduction contract).
 //! 4. **Exact spill.** Between visits, a shard's token assignments and
-//!    doc-topic rows live in a checksummed binary spill file that stores the
-//!    `f64` bits verbatim, so no floating-point value is ever re-derived.
+//!    doc-topic rows live in a checksummed binary spill file. Each row keeps
+//!    only its entries whose bits are not those of `+0.0`, with the `f64`
+//!    bits verbatim, so no floating-point value is ever re-derived and the
+//!    file grows with the tokens, not with documents × topics.
 //!
 //! Checkpoints are per *shard step* (one shard of one sweep): they carry the
 //! small global tables, while the large per-shard state stays in the spill
@@ -137,8 +139,15 @@ struct ShardedGibbsState {
     n_samples: u64,
 }
 
-/// Magic bytes opening every spill file.
-const SPILL_MAGIC: &[u8; 8] = b"HLMGSPL1";
+/// Magic bytes opening every spill file (format v2: sparse doc-topic rows).
+const SPILL_MAGIC: &[u8; 8] = b"HLMGSPL2";
+/// Magic of the retired dense format v1, recognised only to reject it by
+/// name.
+const SPILL_MAGIC_V1: &[u8; 8] = b"HLMGSPL1";
+/// Spill header bytes: magic, shard, version, document and token counts.
+const SPILL_HEADER: usize = 40;
+/// Bytes of one stored doc-topic entry: `u16` topic, `u64` value bits.
+const SPILL_ENTRY: usize = 10;
 
 /// Out-of-core collapsed Gibbs trainer. See the module docs for the
 /// bit-identity argument; `work_dir` holds the per-shard spill files and
@@ -182,6 +191,15 @@ impl ShardedGibbsTrainer {
     /// boundary (one shard of one sweep — so watchdog iterations count shard
     /// steps, not sweeps) and optionally resumes from a checkpoint written
     /// by an earlier run over the same source and work directory.
+    ///
+    /// # Errors
+    /// Interruptions and divergence as reported by `ctrl`;
+    /// [`ResilienceError::Mismatch`] when the checkpoint does not fit the
+    /// source or the work dir lacks a spill it needs;
+    /// [`ResilienceError::Corrupt`] for a damaged spill. Spills in the dense
+    /// v1 format of older builds count as corrupt: a fit started by an
+    /// older build cannot be resumed and must be restarted without a
+    /// checkpoint (a fresh run clears the stale spills).
     pub fn fit_resumable<S: DocShardSource + ?Sized>(
         &self,
         source: &S,
@@ -199,6 +217,18 @@ impl ShardedGibbsTrainer {
 
         std::fs::create_dir_all(&self.work_dir)
             .map_err(|e| ResilienceError::io("create work dir", e))?;
+
+        // Per-shard state buffers, sized once for the largest shard and
+        // reused by every shard step.
+        let max_shard_docs = (0..n_shards)
+            .map(|s| {
+                let (lo, hi) = source.shard_span(s);
+                hi - lo
+            })
+            .max()
+            .unwrap_or(0);
+        let mut dk_buf = vec![0.0f64; max_shard_docs * k];
+        let mut tok_z: Vec<u16> = Vec::new();
 
         let mut alpha = self.cfg.effective_alpha();
         let mut n_kw = Matrix::zeros(k, m);
@@ -246,18 +276,19 @@ impl ShardedGibbsTrainer {
             for s in 0..n_shards {
                 let docs = source.shard_docs(s);
                 validate_docs(&docs, m);
-                let mut tok_z: Vec<u16> = Vec::new();
-                let mut n_dk = Matrix::zeros(docs.len(), k);
+                tok_z.clear();
+                let n_dk = &mut dk_buf[..docs.len() * k];
+                n_dk.fill(0.0);
                 for (d, doc) in docs.iter().enumerate() {
                     for &(w, weight) in doc {
                         let z = rng.gen_range(0..k);
                         tok_z.push(z as u16);
-                        n_dk.add_at(d, z, weight);
+                        n_dk[d * k + z] += weight;
                         n_kw.add_at(z, w, weight);
                         n_k[z] += weight;
                     }
                 }
-                self.write_spill(s, 0, &tok_z, &n_dk)?;
+                self.write_spill(s, 0, &tok_z, n_dk, k)?;
             }
         }
 
@@ -306,7 +337,8 @@ impl ShardedGibbsTrainer {
             validate_docs(&docs, m);
             let (span_lo, span_hi) = source.shard_span(s);
             debug_assert_eq!(span_hi - span_lo, docs.len());
-            let (mut tok_z, mut n_dk) = self.read_spill(s, sweep, &docs, k)?;
+            let n_dk = &mut dk_buf[..docs.len() * k];
+            self.read_spill_into(s, sweep, &docs, k, &mut tok_z, n_dk)?;
 
             // Flat token arrays, local to the shard; chunk_base lifts local
             // chunk ids to global ones.
@@ -347,7 +379,7 @@ impl ShardedGibbsTrainer {
             let mut delta_buf = vec![0.0f64; n_chunks * stride];
             let mut views = build_views(
                 &mut tok_z,
-                n_dk.as_mut_slice(),
+                n_dk,
                 &mut delta_buf,
                 &doc_start,
                 docs.len(),
@@ -379,15 +411,13 @@ impl ShardedGibbsTrainer {
                 minka_alpha_accumulate(
                     alpha,
                     k,
-                    (0..n_dk.rows()).map(|d| n_dk.row(d)),
+                    n_dk.chunks_exact(k),
                     &mut minka_num,
                     &mut minka_den,
                 );
             }
 
-            self.write_spill(s, sweep + 1, &tok_z, &n_dk)?;
-            drop(tok_z);
-            drop(n_dk);
+            self.write_spill(s, sweep + 1, &tok_z, n_dk, k)?;
 
             if s == n_shards - 1 {
                 // Sweep end: publish the merged tables and run the
@@ -517,93 +547,206 @@ impl ShardedGibbsTrainer {
         Ok(())
     }
 
-    /// Writes a shard's spill atomically (temp file + rename): magic, shard,
-    /// version, counts, raw `u16` assignments, raw `f64` doc-topic bits, and
-    /// an FNV-1a trailer over everything before it.
+    /// Writes a shard's spill atomically (temp file + rename); see
+    /// [`encode_spill`] for the layout.
     fn write_spill(
         &self,
         shard: usize,
         version: u64,
         tok_z: &[u16],
-        n_dk: &Matrix,
+        n_dk: &[f64],
+        k: usize,
     ) -> Result<(), ResilienceError> {
-        let mut bytes = Vec::with_capacity(48 + tok_z.len() * 2 + n_dk.as_slice().len() * 8 + 8);
-        bytes.extend_from_slice(SPILL_MAGIC);
-        bytes.extend_from_slice(&(shard as u64).to_le_bytes());
-        bytes.extend_from_slice(&version.to_le_bytes());
-        bytes.extend_from_slice(&(n_dk.rows() as u64).to_le_bytes());
-        bytes.extend_from_slice(&(tok_z.len() as u64).to_le_bytes());
-        for &z in tok_z {
-            bytes.extend_from_slice(&z.to_le_bytes());
-        }
-        for &v in n_dk.as_slice() {
-            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        let sum = fnv1a(&bytes);
-        bytes.extend_from_slice(&sum.to_le_bytes());
+        let rec = hlm_obs::global();
+        let t0 = rec.is_enabled().then(std::time::Instant::now);
+        let bytes = encode_spill(shard, version, tok_z, n_dk, k);
         let path = self.spill_path(shard, version);
         let tmp = path.with_extension("tmp");
         std::fs::write(&tmp, &bytes).map_err(|e| ResilienceError::io("write spill", e))?;
         std::fs::rename(&tmp, &path).map_err(|e| ResilienceError::io("commit spill", e))?;
+        if let Some(t0) = t0 {
+            rec.add("lda.spill.bytes_written", bytes.len() as u64);
+            rec.observe("lda.spill_seconds", t0.elapsed().as_secs_f64());
+        }
         Ok(())
     }
 
-    /// Reads a shard's spill at an exact version, verifying the checksum and
-    /// that the shapes match the freshly loaded documents.
+    /// Reads a shard's spill at an exact version into `tok_z` and the dense
+    /// doc-topic block `n_dk` (`docs.len() × k`, overwritten in full),
+    /// verifying the checksum, the format and that the shapes match the
+    /// freshly loaded documents.
+    fn read_spill_into(
+        &self,
+        shard: usize,
+        version: u64,
+        docs: &[WeightedDoc],
+        k: usize,
+        tok_z: &mut Vec<u16>,
+        n_dk: &mut [f64],
+    ) -> Result<(), ResilienceError> {
+        let rec = hlm_obs::global();
+        let t0 = rec.is_enabled().then(std::time::Instant::now);
+        let path = self.spill_path(shard, version);
+        let bytes = std::fs::read(&path).map_err(|e| ResilienceError::io("read spill", e))?;
+        let n_tokens = docs.iter().map(Vec::len).sum();
+        decode_spill(&bytes, shard, version, n_tokens, k, tok_z, n_dk).map_err(|what| {
+            ResilienceError::corrupt(format!("spill {}: {what}", path.display()))
+        })?;
+        if let Some(t0) = t0 {
+            rec.add("lda.spill.bytes_read", bytes.len() as u64);
+            rec.observe("lda.spill_seconds", t0.elapsed().as_secs_f64());
+        }
+        Ok(())
+    }
+
+    /// [`read_spill_into`](Self::read_spill_into) into fresh buffers.
+    #[cfg(test)]
     fn read_spill(
         &self,
         shard: usize,
         version: u64,
         docs: &[WeightedDoc],
         k: usize,
-    ) -> Result<(Vec<u16>, Matrix), ResilienceError> {
-        let path = self.spill_path(shard, version);
-        let bytes = std::fs::read(&path).map_err(|e| ResilienceError::io("read spill", e))?;
-        let fail = |what: &str| {
-            Err(ResilienceError::corrupt(format!(
-                "spill {}: {what}",
-                path.display()
-            )))
-        };
-        if bytes.len() < 48 + 8 {
-            return fail("truncated");
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - 8);
-        if fnv1a(body) != u64::from_le_bytes(trailer.try_into().unwrap()) {
-            return fail("checksum mismatch");
-        }
-        if &body[..8] != SPILL_MAGIC {
-            return fail("bad magic");
-        }
-        let u64_at = |o: usize| u64::from_le_bytes(body[o..o + 8].try_into().unwrap());
-        let n_tokens_expected: usize = docs.iter().map(Vec::len).sum();
-        if u64_at(8) != shard as u64
-            || u64_at(16) != version
-            || u64_at(24) != docs.len() as u64
-            || u64_at(32) != n_tokens_expected as u64
-        {
-            return fail("header does not match the shard's documents");
-        }
-        let n_tokens = u64_at(32) as usize;
-        let need = 40 + n_tokens * 2 + docs.len() * k * 8;
-        if body.len() != need {
-            return fail("length does not match header");
-        }
-        let mut tok_z = Vec::with_capacity(n_tokens);
-        let mut o = 40;
-        for _ in 0..n_tokens {
-            tok_z.push(u16::from_le_bytes(body[o..o + 2].try_into().unwrap()));
-            o += 2;
-        }
-        let mut dk = Vec::with_capacity(docs.len() * k);
-        for _ in 0..docs.len() * k {
-            dk.push(f64::from_bits(u64::from_le_bytes(
-                body[o..o + 8].try_into().unwrap(),
-            )));
-            o += 8;
-        }
-        Ok((tok_z, Matrix::from_vec(docs.len(), k, dk)))
+    ) -> Result<(Vec<u16>, Vec<f64>), ResilienceError> {
+        let mut tok_z = Vec::new();
+        let mut n_dk = vec![0.0; docs.len() * k];
+        self.read_spill_into(shard, version, docs, k, &mut tok_z, &mut n_dk)?;
+        Ok((tok_z, n_dk))
     }
+}
+
+/// Encodes one shard's state as a v2 spill:
+///
+/// - header: magic `HLMGSPL2`, then shard, version, document count and
+///   token count as `u64` LE;
+/// - the token assignments as raw `u16` LE;
+/// - per document row of `n_dk`: `nnz: u32` LE, then `nnz` entries of
+///   `topic: u16` LE and the value's `f64` bits as `u64` LE, in strictly
+///   increasing topic order, for every entry whose bits are not zero;
+/// - an FNV-1a trailer over everything before it.
+///
+/// Only `+0.0` (all bits zero) is left out, and the decoder's zero fill
+/// restores exactly those bits; every other value — `-0.0`, subnormals,
+/// the non-integer residues of weighted tokens — is stored verbatim, so a
+/// round trip is bit-exact. The size is O(tokens), not O(docs × K).
+fn encode_spill(shard: usize, version: u64, tok_z: &[u16], n_dk: &[f64], k: usize) -> Vec<u8> {
+    let n_docs = n_dk.len() / k;
+    // Capacity for about one entry per token; rows with residues grow it.
+    let mut bytes =
+        Vec::with_capacity(SPILL_HEADER + tok_z.len() * (2 + SPILL_ENTRY) + n_docs * 4 + 8);
+    bytes.extend_from_slice(SPILL_MAGIC);
+    for field in [shard as u64, version, n_docs as u64, tok_z.len() as u64] {
+        bytes.extend_from_slice(&field.to_le_bytes());
+    }
+    for &z in tok_z {
+        bytes.extend_from_slice(&z.to_le_bytes());
+    }
+    for row in n_dk.chunks_exact(k) {
+        let nnz_at = bytes.len();
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        let mut nnz = 0u32;
+        for (t, v) in row.iter().enumerate() {
+            let bits = v.to_bits();
+            if bits != 0 {
+                bytes.extend_from_slice(&(t as u16).to_le_bytes());
+                bytes.extend_from_slice(&bits.to_le_bytes());
+                nnz += 1;
+            }
+        }
+        bytes[nnz_at..nnz_at + 4].copy_from_slice(&nnz.to_le_bytes());
+    }
+    let sum = fnv1a(&bytes);
+    bytes.extend_from_slice(&sum.to_le_bytes());
+    bytes
+}
+
+/// Decodes a v2 spill written by [`encode_spill`] into `tok_z` and `n_dk`
+/// (`n_docs × k`, overwritten in full), checking the trailer, the magic,
+/// the header against the expected shard, version and shape, and every row
+/// structurally. Returns what is wrong instead of panicking on any input.
+fn decode_spill(
+    bytes: &[u8],
+    shard: usize,
+    version: u64,
+    n_tokens: usize,
+    k: usize,
+    tok_z: &mut Vec<u16>,
+    n_dk: &mut [f64],
+) -> Result<(), &'static str> {
+    if bytes.len() < SPILL_HEADER + 8 {
+        return Err("truncated");
+    }
+    let (body, trailer) = bytes.split_at(bytes.len() - 8);
+    if fnv1a(body) != le_u64(trailer) {
+        return Err("checksum mismatch");
+    }
+    if &body[..8] == SPILL_MAGIC_V1 {
+        return Err("dense spill format v1 from an older build is not read; \
+                    restart the fit instead of resuming");
+    }
+    if &body[..8] != SPILL_MAGIC {
+        return Err("bad magic");
+    }
+    let u64_at = |o: usize| le_u64(&body[o..]);
+    let n_docs = n_dk.len() / k;
+    if u64_at(8) != shard as u64
+        || u64_at(16) != version
+        || u64_at(24) != n_docs as u64
+        || u64_at(32) != n_tokens as u64
+    {
+        return Err("header does not match the shard's documents");
+    }
+    let z_end = SPILL_HEADER + n_tokens * 2;
+    let z_bytes = body
+        .get(SPILL_HEADER..z_end)
+        .ok_or("truncated assignments")?;
+    tok_z.clear();
+    tok_z.extend(
+        z_bytes
+            .chunks_exact(2)
+            .map(|b| u16::from_le_bytes([b[0], b[1]])),
+    );
+    if tok_z.iter().any(|&z| usize::from(z) >= k) {
+        return Err("token assignment outside the topic range");
+    }
+    n_dk.fill(0.0);
+    let mut o = z_end;
+    for row in n_dk.chunks_exact_mut(k) {
+        let head = body.get(o..o + 4).ok_or("truncated row")?;
+        let nnz = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
+        o += 4;
+        if nnz > k {
+            return Err("row has more entries than topics");
+        }
+        let entries = body.get(o..o + nnz * SPILL_ENTRY).ok_or("truncated row")?;
+        o += nnz * SPILL_ENTRY;
+        let mut next_topic = 0;
+        for e in entries.chunks_exact(SPILL_ENTRY) {
+            let t = usize::from(u16::from_le_bytes([e[0], e[1]]));
+            let bits = le_u64(&e[2..]);
+            if t >= k {
+                return Err("row topic outside the topic range");
+            }
+            if t < next_topic {
+                return Err("row topics are not strictly increasing");
+            }
+            if bits == 0 {
+                return Err("row stores a +0.0 entry");
+            }
+            row[t] = f64::from_bits(bits);
+            next_topic = t + 1;
+        }
+    }
+    if o != body.len() {
+        return Err("trailing bytes after the last row");
+    }
+    Ok(())
+}
+
+/// The little-endian `u64` in the first eight bytes of `b`; callers pass at
+/// least eight.
+fn le_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b[..8].try_into().expect("an 8-byte slice"))
 }
 
 /// The spill version every shard must hold when `step` shard-steps are done:
@@ -865,6 +1008,284 @@ mod tests {
         // newest spill per shard survives — not one file per sweep.
         let files = std::fs::read_dir(&dir).unwrap().count();
         assert!(files <= 2, "spill files must stay bounded, found {files}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The dense v1 spill layout older builds wrote: the v2 header under the
+    /// v1 magic, the raw assignments, every doc-topic value's bits, and the
+    /// FNV-1a trailer.
+    fn v1_spill(shard: usize, version: u64, tok_z: &[u16], n_dk: &[f64], k: usize) -> Vec<u8> {
+        let mut bytes = SPILL_MAGIC_V1.to_vec();
+        let n_docs = n_dk.len() / k;
+        for field in [shard as u64, version, n_docs as u64, tok_z.len() as u64] {
+            bytes.extend_from_slice(&field.to_le_bytes());
+        }
+        for &z in tok_z {
+            bytes.extend_from_slice(&z.to_le_bytes());
+        }
+        for &v in n_dk {
+            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+        sealed(bytes)
+    }
+
+    /// Appends the FNV-1a trailer, so a tampered body still passes the
+    /// checksum and only the structural checks can reject it.
+    fn sealed(mut body: Vec<u8>) -> Vec<u8> {
+        let sum = fnv1a(&body);
+        body.extend_from_slice(&sum.to_le_bytes());
+        body
+    }
+
+    fn decode(
+        bytes: &[u8],
+        n_tokens: usize,
+        n_docs: usize,
+        k: usize,
+    ) -> Result<(Vec<u16>, Vec<f64>), &'static str> {
+        let mut tok_z = Vec::new();
+        // NaN fill: every `+0.0` in the output must come from the decoder.
+        let mut n_dk = vec![f64::NAN; n_docs * k];
+        decode_spill(bytes, 3, 7, n_tokens, k, &mut tok_z, &mut n_dk)?;
+        Ok((tok_z, n_dk))
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+        /// Any doc-topic block survives write→read bit for bit: all-zero
+        /// rows, fully dense rows (`nnz = K`) and mixed rows holding `-0.0`,
+        /// subnormals, weighted-token residues and arbitrary finite values.
+        #[test]
+        fn spill_codec_round_trips_any_rows_bit_for_bit(
+            seed in 0u64..u64::MAX,
+            n_docs in 0usize..12,
+            k in 1usize..40,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut n_dk = Vec::with_capacity(n_docs * k);
+            for _ in 0..n_docs {
+                // 0: all-zero row, 1: no +0.0 drawn, 2: mixed.
+                let shape = rng.gen_range(0..3);
+                for _ in 0..k {
+                    let class = match shape {
+                        0 => 0,
+                        1 => rng.gen_range(1..6),
+                        _ => rng.gen_range(0..6),
+                    };
+                    n_dk.push(match class {
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 => f64::from_bits(rng.gen_range(1..1u64 << 52)),
+                        3 => {
+                            let w = 0.25 + rng.gen::<f64>();
+                            (0.1 + w) + 0.2 - w - 0.3
+                        }
+                        4 => rng.gen_range(1..50) as f64,
+                        _ => loop {
+                            let v = f64::from_bits(rng.gen());
+                            if v.is_finite() {
+                                break v;
+                            }
+                        },
+                    });
+                }
+            }
+            let n_tokens = rng.gen_range(0..50);
+            let tok_z: Vec<u16> = (0..n_tokens).map(|_| rng.gen_range(0..k) as u16).collect();
+            let bytes = encode_spill(3, 7, &tok_z, &n_dk, k);
+            let (z, dk) = decode(&bytes, n_tokens, n_docs, k).unwrap();
+            proptest::prop_assert_eq!(z, tok_z);
+            proptest::prop_assert_eq!(bits(&dk), bits(&n_dk));
+        }
+    }
+
+    #[test]
+    fn spill_codec_keeps_signed_zeros_subnormals_and_residues() {
+        let k = 5;
+        #[rustfmt::skip]
+        let n_dk = [
+            0.0, 0.0, 0.0, 0.0, 0.0,
+            1.0, 2.0, 3.0, 4.0, 5.0,
+            -0.0, f64::MIN_POSITIVE / 2.0, 0.1 + 0.2 - 0.3, 0.0, f64::from_bits(1),
+        ];
+        let tok_z = [0u16, 4, 2];
+        let bytes = encode_spill(3, 7, &tok_z, &n_dk, k);
+        // Rows store 0, 5 (nnz = K) and 4 entries: the +0.0 is the only
+        // value left out.
+        assert_eq!(
+            bytes.len(),
+            SPILL_HEADER + 2 * tok_z.len() + 3 * 4 + 9 * SPILL_ENTRY + 8
+        );
+        let (z, dk) = decode(&bytes, tok_z.len(), 3, k).unwrap();
+        assert_eq!(z, tok_z);
+        assert_eq!(bits(&dk), bits(&n_dk));
+    }
+
+    #[test]
+    fn sparse_spill_is_a_tenth_of_dense_at_k128() {
+        // Eight tokens per document, as in the generated corpora.
+        let (k, n_docs) = (128, 640);
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut tok_z = Vec::new();
+        let mut n_dk = vec![0.0; n_docs * k];
+        for d in 0..n_docs {
+            for _ in 0..8 {
+                let z = rng.gen_range(0..k);
+                tok_z.push(z as u16);
+                n_dk[d * k + z] += 1.0;
+            }
+        }
+        let sparse = encode_spill(0, 0, &tok_z, &n_dk, k).len();
+        let dense = v1_spill(0, 0, &tok_z, &n_dk, k).len();
+        assert!(sparse * 10 <= dense, "v2 {sparse} B vs v1 {dense} B");
+    }
+
+    /// Reads a hand-built spill for two documents of two tokens each
+    /// (K = 4) whose doc-topic rows are the raw bytes `rows`.
+    fn read_hand_built(rows: &[u8]) -> Result<(Vec<u16>, Vec<f64>), ResilienceError> {
+        let docs: Vec<WeightedDoc> = vec![vec![(0, 1.0), (1, 1.0)], vec![(2, 1.0), (3, 1.0)]];
+        let mut body = SPILL_MAGIC.to_vec();
+        for field in [0u64, 0, 2, 4] {
+            body.extend_from_slice(&field.to_le_bytes());
+        }
+        for z in [0u16, 1, 2, 3] {
+            body.extend_from_slice(&z.to_le_bytes());
+        }
+        body.extend_from_slice(rows);
+        let dir = work_dir(&format!("hand_{:016x}", fnv1a(rows)));
+        std::fs::create_dir_all(&dir).unwrap();
+        let trainer = ShardedGibbsTrainer::new(cfg(4, 1), &dir);
+        std::fs::write(trainer.spill_path(0, 0), sealed(body)).unwrap();
+        let result = trainer.read_spill(0, 0, &docs, 4);
+        std::fs::remove_dir_all(&dir).unwrap();
+        result
+    }
+
+    /// Asserts the hand-built spill is rejected as corrupt by the check
+    /// whose message contains `why`.
+    fn assert_corrupt(rows: &[u8], why: &str) {
+        match read_hand_built(rows) {
+            Err(ResilienceError::Corrupt { what }) if what.contains(why) => {}
+            other => panic!("expected Corrupt({why:?}), got {other:?}"),
+        }
+    }
+
+    /// One encoded row: the `nnz` field as given, then the entries.
+    fn row(nnz: u32, entries: &[(u16, u64)]) -> Vec<u8> {
+        let mut out = nnz.to_le_bytes().to_vec();
+        for &(t, b) in entries {
+            out.extend_from_slice(&t.to_le_bytes());
+            out.extend_from_slice(&b.to_le_bytes());
+        }
+        out
+    }
+
+    const ONE: u64 = 0x3ff0_0000_0000_0000;
+
+    #[test]
+    fn well_formed_hand_built_spill_decodes() {
+        // The control for the tampered bodies below: the same layout with
+        // nothing wrong reads back.
+        let rows = [row(2, &[(0, ONE), (1, ONE)]), row(2, &[(2, ONE), (3, ONE)])].concat();
+        let (z, dk) = read_hand_built(&rows).unwrap();
+        assert_eq!(z, [0, 1, 2, 3]);
+        assert_eq!(dk, [1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0]);
+    }
+
+    #[test]
+    fn spill_row_with_more_entries_than_topics_is_corrupt() {
+        let entries: Vec<(u16, u64)> = (0..5).map(|t| (t, ONE)).collect();
+        assert_corrupt(
+            &[row(5, &entries), row(0, &[])].concat(),
+            "more entries than topics",
+        );
+    }
+
+    #[test]
+    fn spill_row_topic_outside_range_is_corrupt() {
+        assert_corrupt(
+            &[row(1, &[(4, ONE)]), row(0, &[])].concat(),
+            "outside the topic range",
+        );
+    }
+
+    #[test]
+    fn spill_row_topics_not_increasing_are_corrupt() {
+        assert_corrupt(
+            &[row(2, &[(1, ONE), (1, ONE)]), row(0, &[])].concat(),
+            "not strictly increasing",
+        );
+        assert_corrupt(
+            &[row(2, &[(1, ONE), (0, ONE)]), row(0, &[])].concat(),
+            "not strictly increasing",
+        );
+    }
+
+    #[test]
+    fn spill_row_storing_a_zero_is_corrupt() {
+        assert_corrupt(
+            &[row(2, &[(0, 0), (1, ONE)]), row(0, &[])].concat(),
+            "+0.0 entry",
+        );
+    }
+
+    #[test]
+    fn truncated_spill_row_is_corrupt() {
+        // The second row claims two entries but the body ends after one.
+        assert_corrupt(
+            &[row(1, &[(0, ONE)]), row(2, &[(2, ONE)])].concat(),
+            "truncated row",
+        );
+    }
+
+    #[test]
+    fn trailing_bytes_after_spill_rows_are_corrupt() {
+        assert_corrupt(
+            &[row(1, &[(0, ONE)]), row(0, &[]), vec![0; 3]].concat(),
+            "trailing bytes",
+        );
+    }
+
+    #[test]
+    fn spill_token_assignment_outside_range_is_rejected() {
+        let bytes = encode_spill(3, 7, &[0, 5], &[1.0, 0.0, 0.0, 1.0], 2);
+        assert_eq!(
+            decode(&bytes, 2, 2, 2).unwrap_err(),
+            "token assignment outside the topic range"
+        );
+    }
+
+    #[test]
+    fn resume_over_v1_spills_is_a_typed_error() {
+        // A fit checkpointed by an older build left dense v1 spills behind;
+        // this build must refuse them by name rather than misread them.
+        let docs = planted_docs(128, 8);
+        let source = MemDocShards::new(&docs, 2);
+        let n_shards = source.n_shards();
+        let dir = work_dir("v1");
+        let trainer = ShardedGibbsTrainer::new(cfg(2, 13), &dir);
+        let store = CheckpointStore::new(Box::new(MemIo::new()));
+        let mut ctrl = TrainControl::new(SHARDED_GIBBS_CHECKPOINT_KIND, &store)
+            .with_guard(RunGuard::unlimited().abort_at_iteration(9));
+        trainer.fit_resumable(&source, &mut ctrl, None).unwrap_err();
+        let ckpt = store
+            .latest_good(SHARDED_GIBBS_CHECKPOINT_KIND)
+            .unwrap()
+            .unwrap();
+        for s in 0..n_shards {
+            let v = expected_version(ckpt.iteration, n_shards, s);
+            let (tok_z, n_dk) = trainer.read_spill(s, v, &source.shard_docs(s), 2).unwrap();
+            std::fs::write(trainer.spill_path(s, v), v1_spill(s, v, &tok_z, &n_dk, 2)).unwrap();
+        }
+        let err = trainer
+            .fit_resumable(&source, &mut TrainControl::noop(), Some(&ckpt))
+            .unwrap_err();
+        assert!(matches!(err, ResilienceError::Corrupt { .. }), "{err}");
+        assert!(err.to_string().contains("format v1"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -756,12 +756,7 @@ fn whitespace_response(
 
 fn recommend_response(bundle: &ModelBundle, top: usize, served: &Served<Vec<f64>>) -> Response {
     let mut order: Vec<usize> = (0..served.value.len()).collect();
-    order.sort_by(|&a, &b| {
-        served.value[b]
-            .partial_cmp(&served.value[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
+    order.sort_by(|&a, &b| served.value[b].total_cmp(&served.value[a]).then(a.cmp(&b)));
     let degraded = match &served.degraded {
         Some(why) => jstr(why),
         None => "null".to_string(),

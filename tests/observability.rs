@@ -18,7 +18,7 @@
 //! test harness would otherwise race two tests' installs against each other.
 
 use hlm_lda::document_completion_perplexity;
-use hlm_tests::{quick_lda, test_corpus, test_split};
+use hlm_tests::{quick_lda, quick_lda_config, test_corpus, test_split};
 use serde::Value;
 
 /// Field lookup on a parsed JSON object (the vendored `Value` keeps maps as
@@ -91,6 +91,49 @@ fn recorder_is_a_pure_observer_and_sinks_keep_their_schema() {
         );
         last_snapshot = Some(snap);
     }
+    // --- Spill I/O ------------------------------------------------------
+    // The sharded trainer's spills are its main I/O. Every spill it reads
+    // was written earlier in the fit, and the spills written but never read
+    // are exactly the final versions left in the work dir, so the two byte
+    // counters pair up to the byte.
+    hlm_obs::install(hlm_obs::Recorder::enabled());
+    let spill_dir = std::env::temp_dir().join(format!("hlm_obs_spills_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&spill_dir);
+    let docs = hlm_core::representations::binary_docs(&corpus, &split.train);
+    let shards = hlm_lda::MemDocShards::new(&docs, 2);
+    hlm_lda::ShardedGibbsTrainer::new(quick_lda_config(3, corpus.vocab().len()), &spill_dir)
+        .fit(&shards);
+    let spill_snap = hlm_obs::global().snapshot();
+    let spill_counter = |name: &str| -> u64 {
+        spill_snap
+            .counters
+            .iter()
+            .find(|(k, _)| k == name)
+            .map_or(0, |(_, v)| *v)
+    };
+    let written = spill_counter("lda.spill.bytes_written");
+    let read = spill_counter("lda.spill.bytes_read");
+    let left_on_disk: u64 = std::fs::read_dir(&spill_dir)
+        .unwrap()
+        .map(|e| e.unwrap().metadata().unwrap().len())
+        .sum();
+    std::fs::remove_dir_all(&spill_dir).unwrap();
+    assert!(read > 0, "no spill reads recorded");
+    assert_eq!(
+        written,
+        read + left_on_disk,
+        "spill bytes written vs read + final spills on disk"
+    );
+    let spill_hist = spill_snap
+        .histograms
+        .iter()
+        .find(|(k, _)| k == "lda.spill_seconds")
+        .map(|(_, h)| h.count)
+        .expect("lda.spill_seconds histogram missing");
+    // One write per shard at init, then one read and one write per step.
+    let n_shards = hlm_lda::DocShardSource::n_shards(&shards) as u64;
+    assert_eq!(spill_hist, n_shards + 2 * 80 * n_shards);
+
     // Restore globals for any later process reuse.
     hlm_obs::install(hlm_obs::Recorder::noop());
     hlm_engine::set_threads(0);
