@@ -1137,6 +1137,41 @@ mod tests {
     }
 
     #[test]
+    fn topics_resume_over_a_retired_checkpoint_format_exits_4() {
+        let dir = tmp_dir("retired_resume");
+        generate(150, 9, &dir, None).unwrap();
+        let ck = format!("{dir}/checkpoints");
+        // A checkpoint in the JSON shape older builds wrote for in-memory
+        // Gibbs fits, under the kind this build still uses.
+        let payload = br#"{"iters_done":20,"alpha":0.5,"tok_z":[0,1],"n_samples":0}"#;
+        CheckpointStore::on_disk(&ck)
+            .unwrap()
+            .save(&hlm_resilience::Checkpoint::new(
+                hlm_lda::GIBBS_CHECKPOINT_KIND,
+                20,
+                payload.to_vec(),
+            ))
+            .unwrap();
+        let resumed = TrainFlags {
+            checkpoint_dir: Some(ck),
+            resume: true,
+            ..TrainFlags::default()
+        };
+        let err = topics(
+            &dir,
+            3,
+            60,
+            TopicsEstimator::Gibbs,
+            hlm_lda::SamplerChoice::Auto,
+            &resumed,
+        )
+        .unwrap_err();
+        assert_eq!(err.exit_code(), 4);
+        assert!(err.to_string().contains("retired in-memory JSON"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn sharded_topics_kill_and_resume_via_cli_flags() {
         let dir = tmp_dir("sharded_resume");
         generate(150, 9, &dir, Some(2)).unwrap();

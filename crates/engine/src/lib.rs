@@ -37,8 +37,8 @@ use hlm_corpus::{CompanyId, Corpus, Month, TimeWindow};
 use hlm_eval::drift::DriftReport;
 use hlm_eval::{Recommender, RecommenderFactory};
 use hlm_lda::{
-    DocShardSource, GibbsTrainer, LdaConfig, LdaModel, OnlineVbOptions, OnlineVbTrainer,
-    ShardedGibbsTrainer, VbOptions, VbTrainer, WeightedDoc,
+    DocShardSource, GibbsTrainer, LdaConfig, LdaModel, OnlineVbOptions, OnlineVbTrainer, VbOptions,
+    VbTrainer, WeightedDoc,
 };
 use hlm_linalg::Matrix;
 use hlm_lstm::{LstmConfig, LstmLm, TrainOptions, Trainer};
@@ -51,6 +51,7 @@ pub use hlm_resilience::{
 
 use hlm_resilience::TrainControl;
 use std::any::Any;
+use std::borrow::Cow;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -505,23 +506,15 @@ impl ModelSpec {
 /// consumers that need topics, embeddings or fold-in θ directly.
 ///
 /// # Errors
-/// [`EngineError::InvalidSpec`] on zero topics, an empty vocabulary, or an
-/// empty document collection.
+/// [`EngineError::InvalidSpec`] on zero topics, an empty vocabulary, an
+/// empty document collection, a document word outside the vocabulary, or a
+/// token weight that is not finite and positive.
 pub fn fit_lda(
     config: LdaConfig,
     estimator: LdaEstimator,
     docs: &[WeightedDoc],
 ) -> Result<LdaModel, EngineError> {
-    ModelSpec::Lda {
-        config: config.clone(),
-        estimator,
-    }
-    .validate()?;
-    if docs.is_empty() {
-        return Err(EngineError::InvalidSpec {
-            reason: "LDA needs at least one training document".into(),
-        });
-    }
+    validate_lda_input(&config, estimator, docs)?;
     let rec = hlm_obs::global();
     let _span = rec.span("engine.fit_lda");
     rec.add("engine.trains", 1);
@@ -529,6 +522,40 @@ pub fn fit_lda(
         LdaEstimator::Gibbs => GibbsTrainer::new(config).fit(docs),
         LdaEstimator::Vb => VbTrainer::new(config, VbOptions::default()).fit(docs),
     })
+}
+
+/// Checks an in-memory LDA fit's spec and documents, so malformed input is
+/// a typed error rather than a trainer panic.
+fn validate_lda_input(
+    config: &LdaConfig,
+    estimator: LdaEstimator,
+    docs: &[WeightedDoc],
+) -> Result<(), EngineError> {
+    ModelSpec::Lda {
+        config: config.clone(),
+        estimator,
+    }
+    .validate()?;
+    let invalid = |reason: String| Err(EngineError::InvalidSpec { reason });
+    if docs.is_empty() {
+        return invalid("LDA needs at least one training document".into());
+    }
+    let m = config.vocab_size;
+    for (d, doc) in docs.iter().enumerate() {
+        for &(w, weight) in doc {
+            if w >= m {
+                return invalid(format!(
+                    "document {d}: word {w} outside the vocabulary of {m}"
+                ));
+            }
+            if !(weight.is_finite() && weight > 0.0) {
+                return invalid(format!(
+                    "document {d}: token weight must be finite and positive, got {weight}"
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Incrementally folds new documents (and optionally a grown vocabulary)
@@ -782,9 +809,11 @@ fn run_resilient<M>(
 /// poisoned.
 ///
 /// # Errors
-/// Spec errors as in [`fit_lda`]; [`EngineError::Resilience`] when the
-/// watchdog trips (resumable — see [`EngineError::is_interruption`]) or
-/// divergence hits with no good checkpoint to fall back to.
+/// Spec and document errors as in [`fit_lda`]; [`EngineError::Resilience`]
+/// when the watchdog trips (resumable — see
+/// [`EngineError::is_interruption`]), divergence hits with no good
+/// checkpoint to fall back to, or the checkpoint to resume from does not
+/// fit (including checkpoints in formats older builds wrote).
 pub fn fit_lda_resilient(
     mut config: LdaConfig,
     estimator: LdaEstimator,
@@ -794,29 +823,12 @@ pub fn fit_lda_resilient(
     if let Some(sampler) = plan.sampler {
         config.sampler = sampler;
     }
-    ModelSpec::Lda {
-        config: config.clone(),
-        estimator,
-    }
-    .validate()?;
-    if docs.is_empty() {
-        return Err(EngineError::InvalidSpec {
-            reason: "LDA needs at least one training document".into(),
-        });
-    }
+    validate_lda_input(&config, estimator, docs)?;
     let rec = hlm_obs::global();
     let _span = rec.span("engine.fit_lda_resilient");
     rec.add("engine.trains", 1);
     match estimator {
-        LdaEstimator::Gibbs => {
-            let trainer = GibbsTrainer::new(config);
-            run_resilient(
-                hlm_lda::GIBBS_CHECKPOINT_KIND,
-                plan,
-                |ctrl, resume| trainer.fit_resumable(docs, ctrl, resume),
-                |good| trainer.model_from_checkpoint(good),
-            )
-        }
+        LdaEstimator::Gibbs => run_gibbs(GibbsTrainer::new(config), docs, plan),
         LdaEstimator::Vb => {
             let trainer = VbTrainer::new(config, VbOptions::default());
             run_resilient(
@@ -862,7 +874,7 @@ impl<S: CorpusSource + ?Sized> DocShardSource for CorpusDocShards<'_, S> {
         self.source.shard_span(s)
     }
 
-    fn shard_docs(&self, s: usize) -> Vec<WeightedDoc> {
+    fn shard_docs(&self, s: usize) -> Cow<'_, [WeightedDoc]> {
         self.source
             .shard(s)
             .iter()
@@ -902,9 +914,10 @@ fn validate_sharded_spec(config: &LdaConfig, source: &dyn CorpusSource) -> Resul
 /// Out-of-core collapsed Gibbs over a sharded corpus: streams one shard of
 /// companies at a time, spilling per-shard sampler state under `work_dir`.
 /// Bit-identical to [`fit_lda_resilient`] with [`LdaEstimator::Gibbs`] on
-/// `binary_docs` of the same corpus, at any shard and thread count. Note the
-/// plan's guard/checkpoint cadence counts *shard steps* (one shard of one
-/// sweep), not sweeps.
+/// `binary_docs` of the same corpus, at any shard and thread count, and its
+/// checkpoints are the same kind, so a server can warm-start from them.
+/// Note the plan's guard/checkpoint cadence counts *shard steps* (one shard
+/// of one sweep), not sweeps.
 ///
 /// # Errors
 /// Spec errors as in [`fit_lda`] (plus a config/corpus vocabulary-size
@@ -922,12 +935,21 @@ pub fn fit_lda_sharded_gibbs(
     let rec = hlm_obs::global();
     let _span = rec.span("engine.fit_lda_sharded_gibbs");
     rec.add("engine.trains", 1);
-    let trainer = ShardedGibbsTrainer::new(config, work_dir);
-    let docs = CorpusDocShards::new(source);
+    let trainer = GibbsTrainer::with_spill_dir(config, work_dir);
+    run_gibbs(trainer, &CorpusDocShards::new(source), plan)
+}
+
+/// The resilient collapsed Gibbs fit behind both the in-memory and the
+/// out-of-core entry points.
+fn run_gibbs<S: DocShardSource + ?Sized>(
+    trainer: GibbsTrainer,
+    docs: &S,
+    plan: TrainPlan,
+) -> Result<ResilientFit<LdaModel>, EngineError> {
     run_resilient(
-        hlm_lda::SHARDED_GIBBS_CHECKPOINT_KIND,
+        hlm_lda::GIBBS_CHECKPOINT_KIND,
         plan,
-        |ctrl, resume| trainer.fit_resumable(&docs, ctrl, resume),
+        |ctrl, resume| trainer.fit_resumable(docs, ctrl, resume),
         |good| trainer.model_from_checkpoint(good),
     )
 }
@@ -1934,6 +1956,52 @@ mod tests {
         }
         let err = fit_lda(cfg, LdaEstimator::Gibbs, &[]).unwrap_err();
         assert!(matches!(err, EngineError::InvalidSpec { .. }));
+    }
+
+    /// Fits `docs` through both in-memory LDA entry points with both
+    /// estimators and expects a spec error naming `why` from each.
+    fn assert_lda_rejects(docs: &[WeightedDoc], why: &str) {
+        let cfg = LdaConfig {
+            n_topics: 2,
+            vocab_size: 5,
+            n_iters: 15,
+            burn_in: 5,
+            ..Default::default()
+        };
+        for est in [LdaEstimator::Gibbs, LdaEstimator::Vb] {
+            let plain = fit_lda(cfg.clone(), est, docs).unwrap_err();
+            let resilient = fit_lda_resilient(cfg.clone(), est, docs, TrainPlan::default())
+                .map(|_| ())
+                .unwrap_err();
+            for err in [plain, resilient] {
+                match err {
+                    EngineError::InvalidSpec { reason } if reason.contains(why) => {}
+                    other => panic!("{est:?}: expected InvalidSpec({why:?}), got {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fit_lda_rejects_out_of_vocab_words() {
+        assert_lda_rejects(
+            &[vec![(0, 1.0)], vec![(1, 1.0), (5, 1.0)]],
+            "document 1: word 5 outside the vocabulary of 5",
+        );
+    }
+
+    #[test]
+    fn fit_lda_rejects_non_finite_weights() {
+        for weight in [f64::NAN, f64::INFINITY] {
+            assert_lda_rejects(&[vec![(0, 1.0), (2, weight)]], "finite and positive");
+        }
+    }
+
+    #[test]
+    fn fit_lda_rejects_non_positive_weights() {
+        for weight in [0.0, -1.0] {
+            assert_lda_rejects(&[vec![(0, 1.0)], vec![(2, weight)]], "finite and positive");
+        }
     }
 
     #[test]

@@ -13,9 +13,14 @@
 //! chunk order. Chunk boundaries and streams never depend on the worker
 //! count, so results are bit-identical at any `HLM_THREADS` — and the
 //! checkpoint/resume bit-identity guarantee carries over unchanged.
+//!
+//! One trainer covers in-memory and out-of-core fits: [`GibbsTrainer`]
+//! sweeps the corpus shard by shard (a document slice is one shard) and
+//! keeps each shard's state in memory or spills it to disk; see
+//! [`crate::sharded`] for why every layout gives the same model.
 
 use crate::model::{LdaConfig, LdaModel, SamplerChoice};
-use crate::WeightedDoc;
+use crate::sharded::{split_states, DocShardSource, ShardState, ShardStore};
 use hlm_linalg::dist::AliasTableSet;
 use hlm_linalg::{Matrix, SparseDelta};
 use hlm_par::{Budget, Pool};
@@ -23,12 +28,13 @@ use hlm_resilience::{Checkpoint, ResilienceError, TrainControl};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::path::PathBuf;
 
 /// Documents per parallel Gibbs chunk. Fixed: chunk boundaries are part of
 /// the deterministic sampling schedule, not a tuning knob per machine.
 /// Shard boundaries (`hlm_corpus::shard::SHARD_ALIGN`) are multiples of this,
 /// so a shard's local chunks coincide with global chunks — the key to the
-/// sharded sampler's bit-identity (see `sharded`).
+/// bit-identity across shard layouts (see `sharded`).
 pub(crate) const DOC_CHUNK: usize = 64;
 
 /// Metropolis–Hastings cycles per token in the alias sampler: each cycle is
@@ -49,7 +55,7 @@ const INV_REFRESH: usize = 128;
 /// plus roughly one multiply-accumulate per topic for the scanning kernels;
 /// the alias-MH kernel is O(1) per token (in [`Budget`] units of ~1 ns of
 /// serial work).
-pub(crate) fn sweep_budget(n_tokens: usize, k: usize, kind: SamplerChoice) -> Budget {
+fn sweep_budget(n_tokens: usize, k: usize, kind: SamplerChoice) -> Budget {
     match kind {
         SamplerChoice::AliasMh => Budget::items(n_tokens, 150),
         _ => Budget::items(n_tokens, 16 + 8 * k as u64),
@@ -61,18 +67,17 @@ pub(crate) fn sweep_budget(n_tokens: usize, k: usize, kind: SamplerChoice) -> Bu
 /// alias kernel writes a sparse `[n, (cell, delta)*n, .., k totals]` record
 /// (the pair region is sized for the worst case, the tail `k` totals always
 /// sit at the end of the slice).
-pub(crate) fn delta_stride(kind: SamplerChoice, k: usize, m: usize) -> usize {
+fn delta_stride(kind: SamplerChoice, k: usize, m: usize) -> usize {
     match kind {
         SamplerChoice::AliasMh => 1 + 2 * k * m + k,
         _ => k * m + k,
     }
 }
 
-/// Folds one chunk's delta slice into the global (or accumulator) tables.
-/// Both the in-memory and the sharded sweep use this exact routine in global
-/// chunk order, so each count cell sees the identical addition sequence —
-/// the bit-identity contract between the two trainers.
-pub(crate) fn merge_chunk_delta(
+/// Folds one chunk's delta slice into the sweep's accumulator tables. Every
+/// shard step uses this exact routine in global chunk order, so each count
+/// cell sees the identical addition sequence at any shard layout.
+fn merge_chunk_delta(
     kind: SamplerChoice,
     chunk_delta: &[f64],
     n_kw: &mut [f64],
@@ -105,7 +110,7 @@ pub(crate) fn merge_chunk_delta(
 
 /// Per-sweep counter name for the kernel actually taken (`kind` must be
 /// resolved), so crossover cutoffs are tunable from `/metrics`.
-pub(crate) fn sampler_counter(kind: SamplerChoice) -> &'static str {
+fn sampler_counter(kind: SamplerChoice) -> &'static str {
     match kind {
         SamplerChoice::Dense => "lda.sampler.dense",
         SamplerChoice::Bucket => "lda.sampler.bucket",
@@ -116,27 +121,11 @@ pub(crate) fn sampler_counter(kind: SamplerChoice) -> &'static str {
 }
 
 /// Accumulates one topic's posterior-mean contribution
-/// `phi_row += (n_kw_row + β) / (n_k + Mβ)`. With the `fast-math` feature
-/// the count part goes through the unrolled f32 `axpy`; the default build
-/// keeps the exact historical expression bit-for-bit. Shared by the
-/// in-memory and sharded trainers so both flip together.
-pub(crate) fn accumulate_phi_row(
-    phi_row: &mut [f64],
-    kw_row: &[f64],
-    nk: f64,
-    beta: f64,
-    beta_sum: f64,
-) {
+/// `phi_row += (n_kw_row + β) / (n_k + Mβ)`.
+fn accumulate_phi_row(phi_row: &mut [f64], kw_row: &[f64], nk: f64, beta: f64, beta_sum: f64) {
     let denom = nk + beta_sum;
-    if hlm_linalg::fastmath::FAST_MATH_ENABLED {
-        let inv = 1.0 / denom;
-        hlm_linalg::fastmath::axpy(phi_row, inv, kw_row);
-        let smooth = beta * inv;
-        phi_row.iter_mut().for_each(|p| *p += smooth);
-    } else {
-        for (acc, &c) in phi_row.iter_mut().zip(kw_row) {
-            *acc += (c + beta) / denom;
-        }
+    for (acc, &c) in phi_row.iter_mut().zip(kw_row) {
+        *acc += (c + beta) / denom;
     }
 }
 
@@ -149,12 +138,11 @@ pub(crate) fn accumulate_phi_row(
 /// ```
 ///
 /// — the true conditional with the document factor dropped and counts frozen
-/// at the snapshot. Staleness is bounded at one sweep (the in-memory
-/// trainer) or one shard step against the same sweep snapshot (the sharded
-/// trainer): both rebuild from the identical `(n_kw, n_k)` tables, and
-/// [`AliasTableSet::build_table`] is a pure function of its weights, so the
-/// two trainers draw from bit-identical tables.
-pub(crate) struct WordAliasTables {
+/// at the snapshot. Staleness is bounded at one sweep: every shard step of a
+/// sweep samples against the same sweep-start `(n_kw, n_k)` tables, and
+/// [`AliasTableSet::build_table`] is a pure function of its weights, so any
+/// shard layout draws from bit-identical tables.
+struct WordAliasTables {
     set: AliasTableSet,
     /// Snapshot reciprocals `1 / (snap_k[t] + Mβ)`, kept so the MH accept
     /// ratio can re-derive `q̃_w(t)` for arbitrary `t` in O(1).
@@ -164,7 +152,7 @@ pub(crate) struct WordAliasTables {
 }
 
 impl WordAliasTables {
-    pub(crate) fn new(k: usize, m: usize) -> Self {
+    fn new(k: usize, m: usize) -> Self {
         WordAliasTables {
             set: AliasTableSet::new(m, k),
             snap_inv: vec![0.0; k],
@@ -175,7 +163,7 @@ impl WordAliasTables {
     /// Rebuilds every word's table from the sweep-start snapshot,
     /// allocation-free after the first call. Counted per rebuild under
     /// `lda.alias.rebuilds`.
-    pub(crate) fn rebuild(&mut self, n_kw: &Matrix, n_k: &[f64], beta: f64, beta_sum: f64) {
+    fn rebuild(&mut self, n_kw: &Matrix, n_k: &[f64], beta: f64, beta_sum: f64) {
         let (k, m) = (n_kw.rows(), n_kw.cols());
         debug_assert_eq!(k, self.snap_inv.len());
         for (inv, &tot) in self.snap_inv.iter_mut().zip(n_k) {
@@ -198,46 +186,45 @@ impl WordAliasTables {
 /// document-topic rows (mutated in place — they are disjoint between
 /// chunks) and its scratch area for the count-table deltas that must merge
 /// in chunk order.
-pub(crate) struct ChunkView<'a> {
-    pub(crate) z: &'a mut [u16],
-    pub(crate) dk: &'a mut [f64],
+struct ChunkView<'a> {
+    z: &'a mut [u16],
+    dk: &'a mut [f64],
     /// The chunk's [`delta_stride`]-sized slice of the shared delta buffer;
     /// layout per sampler kind (see [`merge_chunk_delta`]). Every cell the
     /// merge reads is overwritten by the chunk.
-    pub(crate) delta: &'a mut [f64],
-    pub(crate) d_lo: usize,
-    pub(crate) t_lo: usize,
+    delta: &'a mut [f64],
+    d_lo: usize,
+    t_lo: usize,
     /// MH proposals / acceptances made by this chunk (alias sampler only).
     /// Counted unconditionally — plain integer adds that never touch the
     /// RNG — and summed in chunk order by the caller, so the recorder
     /// on/off state cannot perturb the chain or the reported totals.
-    pub(crate) mh_proposed: u64,
-    pub(crate) mh_accepted: u64,
+    mh_proposed: u64,
+    mh_accepted: u64,
 }
 
-/// Immutable per-sweep context shared by every chunk. `chunk_base` is the
-/// global index of the context's first chunk: the whole-corpus sweep passes
-/// 0, the sharded sweep passes the shard's global chunk offset, so both draw
-/// from identical per-chunk RNG streams.
-pub(crate) struct SweepCtx<'a> {
-    pub(crate) tok_doc: &'a [u32],
-    pub(crate) tok_word: &'a [u32],
-    pub(crate) tok_weight: &'a [f64],
-    pub(crate) n_kw: &'a Matrix,
-    pub(crate) n_k: &'a [f64],
-    pub(crate) k: usize,
-    pub(crate) m: usize,
-    pub(crate) alpha: f64,
-    pub(crate) beta: f64,
-    pub(crate) beta_sum: f64,
-    pub(crate) seed: u64,
-    pub(crate) sweep: u64,
-    pub(crate) chunk_base: usize,
+/// Immutable per-shard-step context shared by every chunk. `chunk_base` is
+/// the global index of the shard's first chunk, so a chunk draws from the
+/// same RNG stream at any shard layout.
+struct SweepCtx<'a> {
+    tok_doc: &'a [u32],
+    tok_word: &'a [u32],
+    tok_weight: &'a [f64],
+    n_kw: &'a Matrix,
+    n_k: &'a [f64],
+    k: usize,
+    m: usize,
+    alpha: f64,
+    beta: f64,
+    beta_sum: f64,
+    seed: u64,
+    sweep: u64,
+    chunk_base: usize,
     /// Resolved per-token kernel (never `Auto`).
-    pub(crate) kind: SamplerChoice,
+    kind: SamplerChoice,
     /// Per-word proposal tables, present iff `kind == AliasMh`. Rebuilt
     /// from the same snapshot `n_kw`/`n_k` point to, once per sweep.
-    pub(crate) alias: Option<&'a WordAliasTables>,
+    alias: Option<&'a WordAliasTables>,
 }
 
 /// Per-slot scratch reused across every chunk a pool slot processes, so
@@ -245,7 +232,7 @@ pub(crate) struct SweepCtx<'a> {
 /// re-initialized per chunk (tables, reciprocals, word lists) or per
 /// document (topic list), keeping chunk results a pure function of the
 /// chunk — the `par_for_each_scratch` contract.
-pub(crate) struct SweepScratch {
+struct SweepScratch {
     /// Chunk-local topic-word counts (`k*m`), copied from the sweep-start
     /// snapshot at chunk entry. Empty in alias mode, which reads
     /// snapshot + [`SweepScratch::kw_delta`] instead of paying the O(K·M)
@@ -278,7 +265,7 @@ pub(crate) struct SweepScratch {
 }
 
 impl SweepScratch {
-    pub(crate) fn new(k: usize, m: usize, kind: SamplerChoice) -> Self {
+    fn new(k: usize, m: usize, kind: SamplerChoice) -> Self {
         let alias = kind == SamplerChoice::AliasMh;
         SweepScratch {
             kw: vec![0.0; if alias { 0 } else { k * m }],
@@ -299,7 +286,7 @@ impl SweepScratch {
 /// Splits the flat assignment array, the doc-topic table and the delta
 /// buffer into per-chunk disjoint views. Chunk boundaries are the same
 /// pure function of the corpus the sampler has always used.
-pub(crate) fn build_views<'a>(
+fn build_views<'a>(
     tok_z: &'a mut [u16],
     dk: &'a mut [f64],
     delta_buf: &'a mut [f64],
@@ -661,14 +648,8 @@ fn sweep_chunk_alias(
 /// mutating the chunk's assignments and doc-topic rows in place and
 /// writing its topic-word/topic-total deltas into the chunk's slice of the
 /// shared delta buffer. RNG stream: `(seed, sweep, chunk_base + chunk)` —
-/// identical at every thread count, and identical whether the chunk is
-/// addressed through a whole-corpus sweep or a shard-local one.
-pub(crate) fn sweep_chunk(
-    scratch: &mut SweepScratch,
-    ctx: &SweepCtx,
-    chunk: usize,
-    view: &mut ChunkView,
-) {
+/// identical at every thread count and at every shard layout.
+fn sweep_chunk(scratch: &mut SweepScratch, ctx: &SweepCtx, chunk: usize, view: &mut ChunkView) {
     let (k, m) = (ctx.k, ctx.m);
     let mut rng = StdRng::seed_from_u64(hlm_par::split_seed3(
         ctx.seed,
@@ -778,38 +759,81 @@ pub(crate) fn sweep_chunk(
 /// Checkpoint kind tag for collapsed Gibbs runs.
 pub const GIBBS_CHECKPOINT_KIND: &str = "lda-gibbs";
 
-/// Complete sampler state after a finished sweep: everything `fit_resumable`
-/// needs to continue bit-for-bit. Count tables are serialized rather than
-/// recomputed from `tok_z` because the incremental add/subtract updates
-/// accumulate floating-point error in a different order than a fresh
-/// summation would.
+/// Kind tag of the out-of-core trainer's checkpoints in older builds,
+/// recognised only to reject it by name.
+const RETIRED_SHARDED_KIND: &str = "lda-gibbs-sharded";
+
+/// Opening bytes of the in-memory trainer's checkpoints in older builds: a
+/// JSON object whose first field was `iters_done`, recognised only to
+/// reject it by name.
+const RETIRED_JSON_HEAD: &[u8] = b"{\"iters_done\":";
+
+/// The trainer's global state at a shard-step boundary: the JSON head of
+/// every Gibbs checkpoint payload. Each shard's token assignments and
+/// doc-topic rows are not here — an in-memory fit appends them to the
+/// payload ([`ShardStore::append_states`]), an out-of-core fit keeps them
+/// in versioned spill files that `step` pins. Count tables are stored
+/// rather than recomputed from the assignments because the incremental
+/// add/subtract updates accumulate floating-point error in a different
+/// order than a fresh summation would.
 #[derive(Serialize, Deserialize)]
-struct GibbsState {
-    iters_done: u64,
+struct SweepState {
+    /// Shard steps completed: `sweep * n_shards + shards_done_in_sweep`.
+    step: u64,
+    n_shards: u64,
+    n_docs: u64,
     alpha: f64,
-    tok_z: Vec<u16>,
-    n_dk: Matrix,
+    /// Sweep-start snapshot tables (the tables every chunk samples against).
     n_kw: Matrix,
     n_k: Vec<f64>,
+    /// Merge accumulator: snapshot plus the deltas of the shards already
+    /// processed this sweep.
+    acc_kw: Matrix,
+    acc_k: Vec<f64>,
+    /// Partial Minka-update sums for a mid-sweep kill on an alpha-update
+    /// sweep.
+    minka_num: f64,
+    minka_den: f64,
     phi_acc: Matrix,
     n_samples: u64,
-    rng: [u64; 4],
 }
 
-/// Collapsed Gibbs trainer.
+/// Collapsed Gibbs trainer. It sweeps the corpus one shard of documents at
+/// a time (a plain document slice is one shard) and keeps each shard's
+/// state in memory, or — built with [`GibbsTrainer::with_spill_dir`] —
+/// holds one shard in memory and spills the others to disk. Every shard
+/// layout and both placements give the bit-identical model; see
+/// [`crate::sharded`].
 #[derive(Debug, Clone)]
 pub struct GibbsTrainer {
     cfg: LdaConfig,
+    pub(crate) spill_dir: Option<PathBuf>,
 }
 
 impl GibbsTrainer {
-    /// Creates a trainer.
+    /// Creates a trainer that keeps every shard's state in memory.
     ///
     /// # Panics
     /// Panics if the configuration is inconsistent.
     pub fn new(cfg: LdaConfig) -> Self {
         cfg.validate();
-        GibbsTrainer { cfg }
+        GibbsTrainer {
+            cfg,
+            spill_dir: None,
+        }
+    }
+
+    /// Creates an out-of-core trainer that spills per-shard state under
+    /// `work_dir`, which must survive (together with the checkpoint store)
+    /// for kill/resume.
+    ///
+    /// # Panics
+    /// Panics if the configuration is inconsistent.
+    pub fn with_spill_dir(cfg: LdaConfig, work_dir: impl Into<PathBuf>) -> Self {
+        GibbsTrainer {
+            spill_dir: Some(work_dir.into()),
+            ..Self::new(cfg)
+        }
     }
 
     /// The configuration.
@@ -822,140 +846,157 @@ impl GibbsTrainer {
     ///
     /// # Panics
     /// Panics if a document references a word outside the configured
-    /// vocabulary or carries a non-positive weight.
-    pub fn fit(&self, docs: &[WeightedDoc]) -> LdaModel {
-        self.fit_resumable(docs, &mut TrainControl::noop(), None)
+    /// vocabulary or carries a non-positive weight, or on an I/O failure in
+    /// the spill directory.
+    pub fn fit<S: DocShardSource + ?Sized>(&self, source: &S) -> LdaModel {
+        self.fit_resumable(source, &mut TrainControl::noop(), None)
             .expect("noop control cannot interrupt training")
     }
 
-    /// Like [`GibbsTrainer::fit`], but consults `ctrl` at every sweep
-    /// boundary (watchdog, divergence detection, per-sweep checkpointing)
-    /// and optionally continues from a checkpoint written by an earlier run.
-    /// An interrupted-then-resumed run produces a model bit-identical to an
-    /// uninterrupted one.
+    /// Like [`GibbsTrainer::fit`], but consults `ctrl` at every shard-step
+    /// boundary (one shard of one sweep, so with a single shard a step is a
+    /// sweep) for the watchdog, divergence detection and checkpointing, and
+    /// optionally continues from a checkpoint written by an earlier run over
+    /// the same source (and spill directory). An interrupted-then-resumed
+    /// run produces a model bit-identical to an uninterrupted one.
+    ///
+    /// # Errors
+    /// Interruptions and divergence as reported by `ctrl`;
+    /// [`ResilienceError::Mismatch`] when the checkpoint does not fit the
+    /// source, is in a format older builds wrote, or the spill directory
+    /// lacks a spill it needs; [`ResilienceError::Corrupt`] for a damaged
+    /// payload or spill. Spills in the dense v1 format of older builds count
+    /// as corrupt. A fit started by an older build cannot be resumed and
+    /// must be restarted without a checkpoint (a fresh run clears stale
+    /// spills).
     ///
     /// # Panics
     /// Panics on the same malformed-input conditions as `fit`.
-    pub fn fit_resumable(
+    pub fn fit_resumable<S: DocShardSource + ?Sized>(
         &self,
-        docs: &[WeightedDoc],
+        source: &S,
         ctrl: &mut TrainControl,
         resume: Option<&Checkpoint>,
     ) -> Result<LdaModel, ResilienceError> {
         let k = self.cfg.n_topics;
         let m = self.cfg.vocab_size;
-        let mut alpha = self.cfg.effective_alpha();
         let beta = self.cfg.beta;
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-
-        // Count tables (f64: tokens are weighted).
-        let mut n_dk = Matrix::zeros(docs.len(), k); // doc-topic
-        let mut n_kw = Matrix::zeros(k, m); // topic-word
-        let mut n_k = vec![0.0f64; k]; // topic totals
-
-        // Flat token arrays for cache-friendly sweeps, sized up front so
-        // the fill loop never reallocates.
-        let total_tokens: usize = docs.iter().map(Vec::len).sum();
-        let mut tok_doc: Vec<u32> = Vec::with_capacity(total_tokens);
-        let mut tok_word: Vec<u32> = Vec::with_capacity(total_tokens);
-        let mut tok_weight: Vec<f64> = Vec::with_capacity(total_tokens);
-        let mut tok_z: Vec<u16> = Vec::with_capacity(total_tokens);
-        for (d, doc) in docs.iter().enumerate() {
-            for &(w, weight) in doc {
-                assert!(w < m, "word {w} outside vocabulary of {m}");
-                assert!(
-                    weight.is_finite() && weight > 0.0,
-                    "token weight must be positive, got {weight}"
-                );
-                let z = rng.gen_range(0..k);
-                tok_doc.push(d as u32);
-                tok_word.push(w as u32);
-                tok_weight.push(weight);
-                tok_z.push(z as u16);
-                n_dk.add_at(d, z, weight);
-                n_kw.add_at(z, w, weight);
-                n_k[z] += weight;
-            }
-        }
-
-        // Token range of each document in the flat arrays (documents are
-        // contiguous by construction).
-        let mut doc_start = Vec::with_capacity(docs.len() + 1);
-        doc_start.push(0usize);
-        for doc in docs {
-            doc_start.push(doc_start.last().unwrap() + doc.len());
-        }
-
         let beta_sum = beta * m as f64;
-        let mut phi_acc = Matrix::zeros(k, m);
-        let mut n_samples = 0u64;
-        let mut start_iter = 0u64;
+        let kind = self.cfg.sampler.resolve(k);
+        let n_shards = source.n_shards();
+        let spill_dir = self.spill_dir.as_deref();
 
-        if let Some(ckpt) = resume {
-            let state = decode_state(ckpt, tok_z.len(), docs.len(), k, m)?;
-            start_iter = state.iters_done;
-            alpha = state.alpha;
-            tok_z = state.tok_z;
-            n_dk = state.n_dk;
-            n_kw = state.n_kw;
-            n_k = state.n_k;
-            phi_acc = state.phi_acc;
-            n_samples = state.n_samples;
-            rng = StdRng::from_state(state.rng);
-        }
+        let (mut st, mut shards) = match resume {
+            Some(ckpt) => {
+                let (st, carried) = decode_payload(ckpt)?;
+                check_shape(&st, source, k, m)?;
+                let shards = ShardStore::resume(source, k, m, spill_dir, st.step, &carried)?;
+                (st, shards)
+            }
+            None => {
+                let mut st = SweepState {
+                    step: 0,
+                    n_shards: n_shards as u64,
+                    n_docs: source.n_docs() as u64,
+                    alpha: self.cfg.effective_alpha(),
+                    n_kw: Matrix::zeros(k, m),
+                    n_k: vec![0.0; k],
+                    acc_kw: Matrix::zeros(k, m),
+                    acc_k: vec![0.0; k],
+                    minka_num: 0.0,
+                    minka_den: 0.0,
+                    phi_acc: Matrix::zeros(k, m),
+                    n_samples: 0,
+                };
+                let mut rng = StdRng::seed_from_u64(self.cfg.seed);
+                let shards =
+                    ShardStore::init(source, k, m, spill_dir, &mut rng, &mut st.n_kw, &mut st.n_k)?;
+                (st, shards)
+            }
+        };
 
         let pool = Pool::global();
         let rec = hlm_obs::global();
-        let kind = self.cfg.sampler.resolve(k);
-        let budget = sweep_budget(tok_z.len(), k, kind);
         let stride = delta_stride(kind, k, m);
-        let n_chunks = hlm_par::chunk_count(docs.len(), DOC_CHUNK);
-        // Per-chunk delta arena, allocated once for the whole run; every
-        // sweep overwrites the cells its merge reads.
-        let mut delta_buf = vec![0.0f64; n_chunks * stride];
+        // Per-chunk delta arena, sized once for the largest shard; every
+        // shard step overwrites the cells its merge reads.
+        let max_chunks = (0..n_shards)
+            .map(|s| {
+                let (lo, hi) = source.shard_span(s);
+                hlm_par::chunk_count(hi - lo, DOC_CHUNK)
+            })
+            .max()
+            .unwrap_or(0);
+        let mut delta_buf = vec![0.0f64; max_chunks * stride];
+        // The word alias tables are a pure function of the sweep-start
+        // snapshot `(n_kw, n_k)`, so rebuilding them at sweep start (or on a
+        // mid-sweep resume, from the checkpointed snapshot) gives every
+        // shard layout the identical per-sweep tables.
         let mut alias_tables = (kind == SamplerChoice::AliasMh).then(|| WordAliasTables::new(k, m));
-        for iter in start_iter as usize..self.cfg.n_iters {
-            ctrl.begin_iteration(iter as u64)?;
-            let sweep_t0 = rec.is_enabled().then(std::time::Instant::now);
-            rec.add(sampler_counter(kind), 1);
-            // Staleness bound: the proposal tables are refreshed from every
-            // sweep's start snapshot, the same snapshot the chunks sample
-            // against.
-            if let Some(tables) = alias_tables.as_mut() {
-                tables.rebuild(&n_kw, &n_k, beta, beta_sum);
+        let (mut sweep_mh_proposed, mut sweep_mh_accepted) = (0u64, 0u64);
+        let mut sweep_t0 = None;
+        let start_step = st.step;
+        let total_steps = self.cfg.n_iters as u64 * n_shards as u64;
+        let mut last_ckpt = resume.map(|_| start_step);
+        let mut saves_seen = ctrl.saves();
+
+        for step in start_step..total_steps {
+            ctrl.begin_iteration(step)?;
+            let sweep = step / n_shards as u64;
+            let s = (step % n_shards as u64) as usize;
+            if s == 0 {
+                // Sweep start: the accumulator begins at the snapshot.
+                st.acc_kw.copy_from(&st.n_kw);
+                st.acc_k.copy_from_slice(&st.n_k);
+                st.minka_num = 0.0;
+                st.minka_den = 0.0;
             }
-            // Document-sliced sweep: every chunk samples its documents
-            // against the sweep-start snapshot of the shared tables (its own
-            // n_dk rows and assignments are mutated in place — they are
-            // disjoint between chunks), on an RNG stream keyed by
-            // (seed, sweep, chunk). With a single chunk this is exactly the
-            // sequential collapsed sampler.
+            if s == 0 || step == start_step {
+                sweep_t0 = rec.is_enabled().then(std::time::Instant::now);
+                rec.add(sampler_counter(kind), 1);
+                sweep_mh_proposed = 0;
+                sweep_mh_accepted = 0;
+                if let Some(tables) = alias_tables.as_mut() {
+                    tables.rebuild(&st.n_kw, &st.n_k, beta, beta_sum);
+                }
+            }
+            let shard_t0 = rec.is_enabled().then(std::time::Instant::now);
+
+            // Shard-sliced sweep: every chunk samples its documents against
+            // the sweep-start snapshot (its own n_dk rows and assignments
+            // are mutated in place — they are disjoint between chunks), on
+            // an RNG stream keyed by (seed, sweep, global chunk); chunk_base
+            // lifts the shard's local chunk ids to global ones.
+            let chunk_base = source.shard_span(s).0 / DOC_CHUNK;
+            let ShardState {
+                tok_doc,
+                tok_word,
+                tok_weight,
+                doc_start,
+                tok_z,
+                n_dk,
+            } = shards.visit(s, sweep)?;
+            let n_docs = doc_start.len() - 1;
+            let budget = sweep_budget(tok_z.len(), k, kind);
+            let delta = &mut delta_buf[..hlm_par::chunk_count(n_docs, DOC_CHUNK) * stride];
             let ctx = SweepCtx {
-                tok_doc: &tok_doc,
-                tok_word: &tok_word,
-                tok_weight: &tok_weight,
-                n_kw: &n_kw,
-                n_k: &n_k,
+                tok_doc,
+                tok_word,
+                tok_weight,
+                n_kw: &st.n_kw,
+                n_k: &st.n_k,
                 k,
                 m,
-                alpha,
+                alpha: st.alpha,
                 beta,
                 beta_sum,
                 seed: self.cfg.seed,
-                sweep: iter as u64,
-                chunk_base: 0,
+                sweep,
+                chunk_base,
                 kind,
                 alias: alias_tables.as_ref(),
             };
-            let mut views = build_views(
-                &mut tok_z,
-                n_dk.as_mut_slice(),
-                &mut delta_buf,
-                &doc_start,
-                docs.len(),
-                k,
-                stride,
-            );
+            let mut views = build_views(tok_z, n_dk, delta, doc_start, n_docs, k, stride);
             hlm_par::par_for_each_scratch(
                 &pool,
                 budget,
@@ -963,159 +1004,193 @@ impl GibbsTrainer {
                 || SweepScratch::new(k, m, kind),
                 |scratch, c, view| sweep_chunk(scratch, &ctx, c, view),
             );
-            // MH totals fold in chunk order (u64 adds: order-independent,
-            // but keep the convention) before the views are dropped.
-            let (mh_proposed, mh_accepted) = views.iter().fold((0u64, 0u64), |(p, a), v| {
-                (p + v.mh_proposed, a + v.mh_accepted)
-            });
+            for view in &views {
+                sweep_mh_proposed += view.mh_proposed;
+                sweep_mh_accepted += view.mh_accepted;
+            }
             drop(views);
             // Deterministic merge of the topic-word/topic-total deltas in
-            // chunk order (assignments and doc-topic rows were updated in
-            // place).
-            for chunk_delta in delta_buf.chunks_exact(stride) {
-                merge_chunk_delta(kind, chunk_delta, n_kw.as_mut_slice(), &mut n_k, k, m);
-            }
-            if kind == SamplerChoice::AliasMh {
-                rec.add("lda.mh.proposed", mh_proposed);
-                rec.add("lda.mh.accepted", mh_accepted);
-                if rec.is_enabled() && mh_proposed > 0 {
-                    rec.trace(
-                        "lda.mh.acceptance_rate",
-                        iter as u64,
-                        mh_accepted as f64 / mh_proposed as f64,
-                    );
-                }
+            // global chunk order.
+            for chunk_delta in delta.chunks_exact(stride) {
+                merge_chunk_delta(
+                    kind,
+                    chunk_delta,
+                    st.acc_kw.as_mut_slice(),
+                    &mut st.acc_k,
+                    k,
+                    m,
+                );
             }
 
             // Minka's fixed-point re-estimation of the symmetric alpha,
             // applied during burn-in so the collected phi samples use the
-            // final value.
-            if self.cfg.optimize_alpha && iter < self.cfg.burn_in && iter % 10 == 9 {
-                alpha = minka_alpha_update(alpha, &n_dk, k);
-            }
-
-            let past_burn_in = iter >= self.cfg.burn_in;
-            let on_lag = (iter - self.cfg.burn_in.min(iter)) % self.cfg.sample_lag == 0;
-            if past_burn_in && on_lag {
-                for (t, &nk) in n_k.iter().enumerate().take(k) {
-                    let phi_row = &mut phi_acc.as_mut_slice()[t * m..(t + 1) * m];
-                    accumulate_phi_row(phi_row, n_kw.row(t), nk, beta, beta_sum);
-                }
-                n_samples += 1;
-            }
-
-            // Observability: read-only — nothing below branches on these
-            // values, so enabling the recorder cannot change the chain.
-            if let Some(t0) = sweep_t0 {
-                rec.observe("lda.gibbs.sweep_seconds", t0.elapsed().as_secs_f64());
-                rec.add("lda.gibbs.sweeps", 1);
-                rec.trace(
-                    "lda.gibbs.log_likelihood",
-                    iter as u64,
-                    gibbs_log_likelihood(&n_kw, &n_k, beta),
+            // final value. The shard's doc-topic rows are final for this
+            // sweep, so the sums accumulate shard by shard in global
+            // document order.
+            let alpha_sweep =
+                self.cfg.optimize_alpha && (sweep as usize) < self.cfg.burn_in && sweep % 10 == 9;
+            if alpha_sweep {
+                minka_alpha_accumulate(
+                    st.alpha,
+                    k,
+                    n_dk.chunks_exact(k),
+                    &mut st.minka_num,
+                    &mut st.minka_den,
                 );
             }
+            shards.leave(s, sweep + 1)?;
+            if let Some(t0) = shard_t0 {
+                rec.observe("lda.gibbs.shard_seconds", t0.elapsed().as_secs_f64());
+            }
 
-            // Total topic mass is conserved by a correct sweep; a NaN weight
-            // or injected fault shows up here and aborts before the broken
-            // state can be checkpointed.
-            ctrl.check_metric(iter as u64, "topic mass", n_k.iter().sum())?;
+            if s == n_shards - 1 {
+                // Sweep end: publish the merged tables.
+                st.n_kw.copy_from(&st.acc_kw);
+                st.n_k.copy_from_slice(&st.acc_k);
+                if alpha_sweep {
+                    st.alpha = minka_alpha_finish(st.alpha, k, st.minka_num, st.minka_den);
+                }
+                let iter = sweep as usize;
+                let past_burn_in = iter >= self.cfg.burn_in;
+                let on_lag =
+                    (iter - self.cfg.burn_in.min(iter)).is_multiple_of(self.cfg.sample_lag);
+                if past_burn_in && on_lag {
+                    for (t, &nk) in st.n_k.iter().enumerate() {
+                        let phi_row = &mut st.phi_acc.as_mut_slice()[t * m..(t + 1) * m];
+                        accumulate_phi_row(phi_row, st.n_kw.row(t), nk, beta, beta_sum);
+                    }
+                    st.n_samples += 1;
+                }
+                // Observability: read-only — nothing below branches on these
+                // values, so enabling the recorder cannot change the chain.
+                if kind == SamplerChoice::AliasMh {
+                    rec.add("lda.mh.proposed", sweep_mh_proposed);
+                    rec.add("lda.mh.accepted", sweep_mh_accepted);
+                    if rec.is_enabled() && sweep_mh_proposed > 0 {
+                        rec.trace(
+                            "lda.mh.acceptance_rate",
+                            sweep,
+                            sweep_mh_accepted as f64 / sweep_mh_proposed as f64,
+                        );
+                    }
+                }
+                if let Some(t0) = sweep_t0 {
+                    rec.observe("lda.gibbs.sweep_seconds", t0.elapsed().as_secs_f64());
+                    rec.add("lda.gibbs.sweeps", 1);
+                    rec.trace(
+                        "lda.gibbs.log_likelihood",
+                        sweep,
+                        gibbs_log_likelihood(&st.n_kw, &st.n_k, beta),
+                    );
+                }
+                // Total topic mass is conserved by a correct sweep; a NaN
+                // weight or injected fault shows up here and aborts before
+                // the broken state can be checkpointed.
+                ctrl.check_metric(sweep, "topic mass", st.n_k.iter().sum())?;
+            }
 
-            ctrl.checkpoint(iter as u64 + 1, || {
-                encode_state(&GibbsState {
-                    iters_done: iter as u64 + 1,
-                    alpha,
-                    tok_z: tok_z.clone(),
-                    n_dk: n_dk.clone(),
-                    n_kw: n_kw.clone(),
-                    n_k: n_k.clone(),
-                    phi_acc: phi_acc.clone(),
-                    n_samples,
-                    rng: rng.state(),
-                })
+            st.step = step + 1;
+            ctrl.checkpoint(step + 1, || {
+                let mut payload = serde_json::to_string(&st)
+                    .expect("gibbs state serializes")
+                    .into_bytes();
+                shards.append_states(step + 1, &mut payload);
+                payload
             });
+            if ctrl.saves() > saves_seen {
+                saves_seen = ctrl.saves();
+                last_ckpt = Some(step + 1);
+            }
+            shards.prune(s, sweep, last_ckpt);
         }
 
         assert!(
-            n_samples > 0,
+            st.n_samples > 0,
             "no phi samples collected; check burn_in / n_iters"
         );
-        phi_acc.scale_mut(1.0 / n_samples as f64);
+        st.phi_acc.scale_mut(1.0 / st.n_samples as f64);
         // Guard against accumulated rounding before the model's row check.
-        phi_acc.normalize_rows();
-        Ok(LdaModel::new(phi_acc, alpha, beta))
+        st.phi_acc.normalize_rows();
+        Ok(LdaModel::new(st.phi_acc, st.alpha, beta))
     }
 
     /// Materializes a model directly from a checkpoint, without further
-    /// sweeps — the rollback path when a later sweep diverges. Fails with
+    /// sweeps — the rollback and warm-start path. Fails with
     /// [`ResilienceError::Mismatch`] if the checkpoint predates burn-in (no
     /// phi samples collected yet).
     pub fn model_from_checkpoint(&self, ckpt: &Checkpoint) -> Result<LdaModel, ResilienceError> {
-        if ckpt.kind != GIBBS_CHECKPOINT_KIND {
-            return Err(ResilienceError::Mismatch {
-                reason: format!("kind {} != {GIBBS_CHECKPOINT_KIND}", ckpt.kind),
-            });
-        }
-        let state: GibbsState = parse_payload(&ckpt.payload)?;
-        if state.n_samples == 0 {
+        let (st, _) = decode_payload(ckpt)?;
+        if st.n_samples == 0 {
             return Err(ResilienceError::Mismatch {
                 reason: "checkpoint predates burn-in: no phi samples collected".to_string(),
             });
         }
-        let mut phi = state.phi_acc;
-        phi.scale_mut(1.0 / state.n_samples as f64);
+        let mut phi = st.phi_acc;
+        phi.scale_mut(1.0 / st.n_samples as f64);
         phi.normalize_rows();
-        Ok(LdaModel::new(phi, state.alpha, self.cfg.beta))
+        Ok(LdaModel::new(phi, st.alpha, self.cfg.beta))
     }
 }
 
-fn encode_state(state: &GibbsState) -> Vec<u8> {
-    serde_json::to_string(state)
-        .expect("gibbs state serializes")
-        .into_bytes()
-}
-
-fn parse_payload(payload: &[u8]) -> Result<GibbsState, ResilienceError> {
-    let text = std::str::from_utf8(payload)
-        .map_err(|_| ResilienceError::corrupt("gibbs payload is not UTF-8"))?;
-    serde_json::from_str(text)
-        .map_err(|e| ResilienceError::corrupt(format!("gibbs payload does not parse: {e}")))
-}
-
-fn decode_state(
-    ckpt: &Checkpoint,
-    n_tokens: usize,
-    n_docs: usize,
-    k: usize,
-    m: usize,
-) -> Result<GibbsState, ResilienceError> {
+/// Splits a checkpoint payload into the global state (the JSON line) and
+/// the in-memory shard states that follow it, refusing the formats older
+/// builds wrote by name.
+fn decode_payload(ckpt: &Checkpoint) -> Result<(SweepState, Vec<&[u8]>), ResilienceError> {
+    let retired = |what: &str| ResilienceError::Mismatch {
+        reason: format!(
+            "checkpoint is in the retired {what} format of an older build, which this \
+             build does not read; restart the fit without resuming"
+        ),
+    };
+    if ckpt.kind == RETIRED_SHARDED_KIND {
+        return Err(retired(&format!("out-of-core `{RETIRED_SHARDED_KIND}`")));
+    }
     if ckpt.kind != GIBBS_CHECKPOINT_KIND {
         return Err(ResilienceError::Mismatch {
             reason: format!("kind {} != {GIBBS_CHECKPOINT_KIND}", ckpt.kind),
         });
     }
-    let state = parse_payload(&ckpt.payload)?;
-    if state.tok_z.len() != n_tokens {
+    let payload = ckpt.payload.as_slice();
+    if payload.starts_with(RETIRED_JSON_HEAD) {
+        return Err(retired("in-memory JSON `lda-gibbs`"));
+    }
+    let (head, tail) = match payload.iter().position(|&b| b == b'\n') {
+        Some(at) => (&payload[..at], &payload[at + 1..]),
+        None => (payload, &[][..]),
+    };
+    let text = std::str::from_utf8(head)
+        .map_err(|_| ResilienceError::corrupt("gibbs payload is not UTF-8"))?;
+    let st = serde_json::from_str(text)
+        .map_err(|e| ResilienceError::corrupt(format!("gibbs payload does not parse: {e}")))?;
+    Ok((st, split_states(tail)?))
+}
+
+/// Checks a checkpoint's global state against the source and configuration.
+fn check_shape<S: DocShardSource + ?Sized>(
+    st: &SweepState,
+    source: &S,
+    k: usize,
+    m: usize,
+) -> Result<(), ResilienceError> {
+    let (n_docs, n_shards) = (source.n_docs(), source.n_shards());
+    if st.n_docs != n_docs as u64 || st.n_shards != n_shards as u64 {
         return Err(ResilienceError::Mismatch {
             reason: format!(
-                "checkpoint has {} token assignments, corpus has {n_tokens}",
-                state.tok_z.len()
+                "checkpoint is for {} docs in {} shards, source has {n_docs} in {n_shards}",
+                st.n_docs, st.n_shards
             ),
         });
     }
-    if state.n_dk.rows() != n_docs
-        || state.n_dk.cols() != k
-        || state.n_kw.rows() != k
-        || state.n_kw.cols() != m
-        || state.n_k.len() != k
-        || state.phi_acc.rows() != k
-        || state.phi_acc.cols() != m
+    let tables = [&st.n_kw, &st.acc_kw, &st.phi_acc];
+    if tables.iter().any(|t| t.rows() != k || t.cols() != m)
+        || st.n_k.len() != k
+        || st.acc_k.len() != k
     {
         return Err(ResilienceError::Mismatch {
             reason: "checkpoint count-table shapes do not match the configuration".to_string(),
         });
     }
-    Ok(state)
+    Ok(())
 }
 
 /// Griffiths–Steyvers corpus log-likelihood `log P(w|z)` of the current
@@ -1128,7 +1203,7 @@ fn decode_state(
 /// Recorded as a convergence trace when observability is enabled; with
 /// weighted tokens the counts are real-valued and this is the natural
 /// generalization.
-pub(crate) fn gibbs_log_likelihood(n_kw: &Matrix, n_k: &[f64], beta: f64) -> f64 {
+fn gibbs_log_likelihood(n_kw: &Matrix, n_k: &[f64], beta: f64) -> f64 {
     use hlm_linalg::special::ln_gamma;
     let (k, m) = (n_kw.rows(), n_kw.cols());
     let beta_sum = beta * m as f64;
@@ -1142,8 +1217,8 @@ pub(crate) fn gibbs_log_likelihood(n_kw: &Matrix, n_k: &[f64], beta: f64) -> f64
     ll
 }
 
-/// One step of Minka's fixed-point update for the symmetric Dirichlet
-/// concentration:
+/// Accumulates the sums of Minka's fixed-point update for the symmetric
+/// Dirichlet concentration,
 ///
 /// ```text
 /// α ← α · Σ_d Σ_k [ψ(n_dk + α) − ψ(α)]
@@ -1151,31 +1226,10 @@ pub(crate) fn gibbs_log_likelihood(n_kw: &Matrix, n_k: &[f64], beta: f64) -> f64
 ///         K · Σ_d [ψ(n_d + Kα) − ψ(Kα)]
 /// ```
 ///
-/// Empty documents are skipped; the result is clamped to `[1e-4, 1e2]` to
-/// keep a pathological early count table from destabilizing the chain.
-///
-/// Split into an accumulation over doc-topic rows and a finish step so the
-/// sharded sampler — whose `n_dk` lives in per-shard pieces — can stream the
-/// rows in global document order and obtain the identical floating-point
-/// result.
-fn minka_alpha_update(alpha: f64, n_dk: &Matrix, k: usize) -> f64 {
-    let mut num = 0.0;
-    let mut den = 0.0;
-    minka_alpha_accumulate(
-        alpha,
-        k,
-        (0..n_dk.rows()).map(|d| n_dk.row(d)),
-        &mut num,
-        &mut den,
-    );
-    minka_alpha_finish(alpha, k, num, den)
-}
-
-/// Accumulates the numerator/denominator sums of Minka's update over
-/// doc-topic rows. Rows must arrive in global document order for the
-/// accumulation order (and hence the floating-point result) to be
-/// reproducible.
-pub(crate) fn minka_alpha_accumulate<'a>(
+/// over doc-topic rows, skipping empty documents. Rows must arrive in
+/// global document order for the accumulation order (and hence the
+/// floating-point result) to be reproducible at any shard layout.
+fn minka_alpha_accumulate<'a>(
     alpha: f64,
     k: usize,
     rows: impl Iterator<Item = &'a [f64]>,
@@ -1195,8 +1249,10 @@ pub(crate) fn minka_alpha_accumulate<'a>(
     }
 }
 
-/// Applies Minka's fixed-point step from the accumulated sums.
-pub(crate) fn minka_alpha_finish(alpha: f64, k: usize, num: f64, den: f64) -> f64 {
+/// Applies Minka's fixed-point step from the accumulated sums, clamped to
+/// `[1e-4, 1e2]` to keep a pathological early count table from
+/// destabilizing the chain.
+fn minka_alpha_finish(alpha: f64, k: usize, num: f64, den: f64) -> f64 {
     if den <= 0.0 || num <= 0.0 {
         return alpha;
     }
@@ -1206,7 +1262,15 @@ pub(crate) fn minka_alpha_finish(alpha: f64, k: usize, num: f64, den: f64) -> f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::unit_weights;
+    use crate::{unit_weights, WeightedDoc};
+
+    /// Minka's full update over a doc-topic table, as one sweep applies it.
+    fn minka_alpha_update(alpha: f64, n_dk: &Matrix, k: usize) -> f64 {
+        let (mut num, mut den) = (0.0, 0.0);
+        let rows = (0..n_dk.rows()).map(|d| n_dk.row(d));
+        minka_alpha_accumulate(alpha, k, rows, &mut num, &mut den);
+        minka_alpha_finish(alpha, k, num, den)
+    }
 
     /// Two planted topics: words 0-2 vs words 3-5.
     fn planted_docs(n_docs: usize, seed: u64) -> Vec<Vec<usize>> {
@@ -1493,6 +1557,68 @@ mod tests {
             err,
             hlm_resilience::ResilienceError::Mismatch { .. }
         ));
+    }
+
+    /// Resumes and rolls back over `ckpt` and expects both to fail with a
+    /// mismatch that names the retired format `what`.
+    fn assert_retired(ckpt: &Checkpoint, what: &str) {
+        let docs = unit_weights(&planted_docs(30, 3));
+        let trainer = GibbsTrainer::new(quick_cfg(2, 6, 11));
+        let resumed = trainer
+            .fit_resumable(&docs, &mut TrainControl::noop(), Some(ckpt))
+            .unwrap_err();
+        let rolled_back = trainer.model_from_checkpoint(ckpt).unwrap_err();
+        for err in [resumed, rolled_back] {
+            assert!(matches!(err, ResilienceError::Mismatch { .. }), "{err}");
+            assert!(err.to_string().contains(what), "{err}");
+        }
+    }
+
+    #[test]
+    fn resume_over_the_retired_in_memory_json_checkpoint_is_a_typed_error() {
+        // The shape older builds wrote for in-memory fits: assignments and
+        // the dense doc-topic table as JSON numbers under the same kind.
+        let payload = concat!(
+            r#"{"iters_done":70,"alpha":0.5,"tok_z":[0,1,1,0],"#,
+            r#""n_dk":{"rows":2,"cols":2,"data":[1.0,1.0,1.0,1.0]},"#,
+            r#""n_kw":{"rows":2,"cols":6,"data":[1,0,1,0,0,0,0,1,0,1,0,0]},"#,
+            r#""n_k":[2.0,2.0],"phi_acc":{"rows":2,"cols":6,"data":[0,0,0,0,0,0,0,0,0,0,0,0]},"#,
+            r#""n_samples":3,"rng":[1,2,3,4]}"#
+        );
+        let ckpt = Checkpoint::new(GIBBS_CHECKPOINT_KIND, 70, payload.as_bytes().to_vec());
+        assert_retired(&ckpt, "retired in-memory JSON `lda-gibbs` format");
+    }
+
+    #[test]
+    fn resume_over_a_retired_out_of_core_checkpoint_is_a_typed_error() {
+        let payload = br#"{"step":9,"n_shards":2,"n_docs":30,"alpha":0.5}"#.to_vec();
+        let ckpt = Checkpoint::new("lda-gibbs-sharded", 9, payload);
+        assert_retired(&ckpt, "retired out-of-core `lda-gibbs-sharded` format");
+    }
+
+    #[test]
+    fn in_memory_checkpoint_carries_the_shard_state() {
+        use hlm_resilience::{CheckpointStore, MemIo, RunGuard};
+
+        // An in-memory checkpoint appends the shard's spill encoding to the
+        // JSON global state; without it there is nothing to resume from.
+        let docs = unit_weights(&planted_docs(30, 3));
+        let trainer = GibbsTrainer::new(quick_cfg(2, 6, 11));
+        let store = CheckpointStore::new(Box::new(MemIo::new()));
+        let mut ctrl = TrainControl::new(GIBBS_CHECKPOINT_KIND, &store)
+            .with_guard(RunGuard::unlimited().abort_at_iteration(5));
+        trainer.fit_resumable(&docs, &mut ctrl, None).unwrap_err();
+        let ckpt = store.latest_good(GIBBS_CHECKPOINT_KIND).unwrap().unwrap();
+        let (st, carried) = decode_payload(&ckpt).unwrap();
+        assert_eq!((st.step, st.n_shards, carried.len()), (5, 1, 1));
+        assert_eq!(&carried[0][..8], b"HLMGSPL2");
+
+        let head = ckpt.payload.split(|&b| b == b'\n').next().unwrap().to_vec();
+        let bare = Checkpoint::new(GIBBS_CHECKPOINT_KIND, 5, head);
+        let err = trainer
+            .fit_resumable(&docs, &mut TrainControl::noop(), Some(&bare))
+            .unwrap_err();
+        assert!(matches!(err, ResilienceError::Mismatch { .. }), "{err}");
     }
 
     #[test]

@@ -44,9 +44,7 @@ pub use gibbs::{GibbsTrainer, GIBBS_CHECKPOINT_KIND};
 pub use model::{LdaConfig, LdaModel, SamplerChoice};
 pub use online_vb::{OnlineVbOptions, OnlineVbTrainer, ONLINE_VB_CHECKPOINT_KIND};
 pub use perplexity::{document_completion_perplexity, held_out_log_likelihood};
-pub use sharded::{
-    DocShardSource, MemDocShards, ShardedGibbsTrainer, SHARDED_GIBBS_CHECKPOINT_KIND,
-};
+pub use sharded::{DocShardSource, MemDocShards};
 pub use vb::{VbOptions, VbTrainer, VB_CHECKPOINT_KIND};
 
 /// A document as `(word index, weight)` pairs. Binary install bases use

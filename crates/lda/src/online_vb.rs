@@ -172,7 +172,7 @@ impl OnlineVbTrainer {
             let step_t0 = rec.is_enabled().then(std::time::Instant::now);
             let s = (step % n_shards as u64) as usize;
             let docs = source.shard_docs(s);
-            for doc in &docs {
+            for doc in docs.iter() {
                 for &(w, weight) in doc {
                     assert!(w < m, "word {w} outside vocabulary of {m}");
                     assert!(

@@ -1,8 +1,9 @@
-//! Out-of-core AD-LDA: collapsed Gibbs over an on-disk sharded corpus.
+//! Shard state for the collapsed Gibbs trainer, kept in memory or spilled
+//! to disk.
 //!
-//! [`ShardedGibbsTrainer`] reproduces [`GibbsTrainer`](crate::GibbsTrainer)
-//! **bit for bit** while holding only one shard of documents in memory at a
-//! time. The correspondence rests on four invariants:
+//! [`GibbsTrainer`](crate::GibbsTrainer) sweeps a corpus one *shard* of
+//! documents at a time, and any shard layout yields the model of a single
+//! shard bit for bit. The correspondence rests on four invariants:
 //!
 //! 1. **Init.** Token topics are drawn from one sequential RNG in global
 //!    document order; visiting shards in order consumes the identical
@@ -10,38 +11,35 @@
 //! 2. **Chunk streams.** Shard spans are multiples of the sweep's document
 //!    chunk, so a shard-local chunk plus the shard's global chunk offset
 //!    (`SweepCtx::chunk_base`) addresses exactly the documents — and the
-//!    `(seed, sweep, chunk)` RNG stream — of the whole-corpus sweep.
+//!    `(seed, sweep, chunk)` RNG stream — of a single-shard sweep.
 //! 3. **Ordered merge.** Every chunk samples against the immutable
 //!    sweep-start snapshot; per-chunk count deltas are folded into an
 //!    accumulator in global chunk order — the same additions, on the same
-//!    values, in the same order as the in-memory merge (hlm-par's
+//!    values, in the same order at any shard layout (hlm-par's
 //!    ordered-reduction contract).
-//! 4. **Exact spill.** Between visits, a shard's token assignments and
-//!    doc-topic rows live in a checksummed binary spill file. Each row keeps
-//!    only its entries whose bits are not those of `+0.0`, with the `f64`
-//!    bits verbatim, so no floating-point value is ever re-derived and the
-//!    file grows with the tokens, not with documents × topics.
+//! 4. **Exact spill.** A shard's token assignments and doc-topic rows
+//!    round-trip through a checksummed binary encoding. Each row keeps only
+//!    its entries whose bits are not those of `+0.0`, with the `f64` bits
+//!    verbatim, so no floating-point value is ever re-derived and the
+//!    encoding grows with the tokens, not with documents × topics.
 //!
-//! Checkpoints are per *shard step* (one shard of one sweep): they carry the
-//! small global tables, while the large per-shard state stays in the spill
-//! files, versioned by completed sweeps so a kill at any step boundary
-//! resumes bit-identically.
+//! Between visits a shard's [`ShardState`] lives in one of two places
+//! ([`ShardStore`]). Without a spill directory every shard stays in memory
+//! and its token arrays are built once; checkpoints then carry each shard's
+//! state in the spill encoding. With a spill directory only the visited
+//! shard is in memory and the others sit in spill files, versioned by
+//! completed sweeps so a kill at any step boundary resumes bit-identically
+//! from a checkpoint that holds only the small global tables.
 
-use crate::gibbs::{
-    accumulate_phi_row, build_views, delta_stride, gibbs_log_likelihood, merge_chunk_delta,
-    minka_alpha_accumulate, minka_alpha_finish, sampler_counter, sweep_budget, sweep_chunk,
-    SweepCtx, SweepScratch, WordAliasTables, DOC_CHUNK,
-};
-use crate::model::{LdaConfig, LdaModel, SamplerChoice};
+use crate::gibbs::DOC_CHUNK;
 use crate::WeightedDoc;
 use hlm_corpus::shard::fnv1a;
 use hlm_linalg::Matrix;
-use hlm_par::Pool;
-use hlm_resilience::{Checkpoint, ResilienceError, TrainControl};
+use hlm_resilience::ResilienceError;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
+use rand::Rng;
+use std::borrow::Cow;
+use std::path::{Path, PathBuf};
 
 /// A corpus of weighted documents arriving in ordered shards.
 ///
@@ -49,7 +47,7 @@ use std::path::PathBuf;
 /// and every span except the last is a multiple of the Gibbs document chunk
 /// (64; [`hlm_corpus::shard::SHARD_ALIGN`] keeps on-disk stores aligned).
 /// `shard_docs(s)` must return the same documents every time it is called —
-/// training re-reads each shard once per pass.
+/// out-of-core training re-reads each shard once per pass.
 pub trait DocShardSource {
     /// Total number of documents.
     fn n_docs(&self) -> usize;
@@ -57,8 +55,46 @@ pub trait DocShardSource {
     fn n_shards(&self) -> usize;
     /// Half-open global document range of shard `s`.
     fn shard_span(&self, s: usize) -> (usize, usize);
-    /// The documents of shard `s`, in global order.
-    fn shard_docs(&self, s: usize) -> Vec<WeightedDoc>;
+    /// The documents of shard `s`, in global order — borrowed when the
+    /// source already holds them in memory.
+    fn shard_docs(&self, s: usize) -> Cow<'_, [WeightedDoc]>;
+}
+
+/// A plain document slice is a single shard.
+impl DocShardSource for [WeightedDoc] {
+    fn n_docs(&self) -> usize {
+        self.len()
+    }
+
+    fn n_shards(&self) -> usize {
+        1
+    }
+
+    fn shard_span(&self, _s: usize) -> (usize, usize) {
+        (0, self.len())
+    }
+
+    fn shard_docs(&self, _s: usize) -> Cow<'_, [WeightedDoc]> {
+        Cow::Borrowed(self)
+    }
+}
+
+impl DocShardSource for Vec<WeightedDoc> {
+    fn n_docs(&self) -> usize {
+        self.as_slice().n_docs()
+    }
+
+    fn n_shards(&self) -> usize {
+        1
+    }
+
+    fn shard_span(&self, s: usize) -> (usize, usize) {
+        self.as_slice().shard_span(s)
+    }
+
+    fn shard_docs(&self, s: usize) -> Cow<'_, [WeightedDoc]> {
+        self.as_slice().shard_docs(s)
+    }
 }
 
 /// An in-memory document slice exposed as aligned shards — the reference
@@ -104,42 +140,13 @@ impl DocShardSource for MemDocShards<'_> {
         )
     }
 
-    fn shard_docs(&self, s: usize) -> Vec<WeightedDoc> {
+    fn shard_docs(&self, s: usize) -> Cow<'_, [WeightedDoc]> {
         let (lo, hi) = self.shard_span(s);
-        self.docs[lo..hi].to_vec()
+        Cow::Borrowed(&self.docs[lo..hi])
     }
 }
 
-/// Checkpoint kind tag for sharded collapsed-Gibbs runs.
-pub const SHARDED_GIBBS_CHECKPOINT_KIND: &str = "lda-gibbs-sharded";
-
-/// Global state at a shard-step boundary. The per-shard token assignments
-/// and doc-topic rows are *not* here — they live in versioned spill files
-/// under the trainer's work directory; `step` pins which version each shard
-/// must hold.
-#[derive(Serialize, Deserialize)]
-struct ShardedGibbsState {
-    /// Shard steps completed: `sweep * n_shards + shards_done_in_sweep`.
-    step: u64,
-    n_shards: u64,
-    n_docs: u64,
-    alpha: f64,
-    /// Sweep-start snapshot tables (the tables every chunk samples against).
-    n_kw: Matrix,
-    n_k: Vec<f64>,
-    /// Merge accumulator: snapshot plus the deltas of the shards already
-    /// processed this sweep.
-    acc_kw: Matrix,
-    acc_k: Vec<f64>,
-    /// Partial Minka-update sums for a mid-sweep kill on an alpha-update
-    /// sweep.
-    minka_num: f64,
-    minka_den: f64,
-    phi_acc: Matrix,
-    n_samples: u64,
-}
-
-/// Magic bytes opening every spill file (format v2: sparse doc-topic rows).
+/// Magic bytes opening every spill (format v2: sparse doc-topic rows).
 const SPILL_MAGIC: &[u8; 8] = b"HLMGSPL2";
 /// Magic of the retired dense format v1, recognised only to reject it by
 /// name.
@@ -149,470 +156,378 @@ const SPILL_HEADER: usize = 40;
 /// Bytes of one stored doc-topic entry: `u16` topic, `u64` value bits.
 const SPILL_ENTRY: usize = 10;
 
-/// Out-of-core collapsed Gibbs trainer. See the module docs for the
-/// bit-identity argument; `work_dir` holds the per-shard spill files and
-/// must survive (together with the checkpoint store) for kill/resume.
-#[derive(Debug, Clone)]
-pub struct ShardedGibbsTrainer {
-    cfg: LdaConfig,
-    work_dir: PathBuf,
+/// One shard's sampler state: flat token arrays built from its documents
+/// (documents are contiguous; `tok_doc` holds shard-local indices), the
+/// token assignments and the dense doc-topic rows.
+#[derive(Default)]
+pub(crate) struct ShardState {
+    pub(crate) tok_doc: Vec<u32>,
+    pub(crate) tok_word: Vec<u32>,
+    pub(crate) tok_weight: Vec<f64>,
+    /// Token range of each document: `doc_start[d]..doc_start[d + 1]`.
+    pub(crate) doc_start: Vec<usize>,
+    pub(crate) tok_z: Vec<u16>,
+    /// `n_docs × k` doc-topic counts.
+    pub(crate) n_dk: Vec<f64>,
 }
 
-impl ShardedGibbsTrainer {
-    /// Creates a trainer spilling per-shard state under `work_dir`.
+impl ShardState {
+    /// Rebuilds the token arrays from `docs`, reusing the buffers, and
+    /// zero-sizes the doc-topic block for `k` topics.
     ///
     /// # Panics
-    /// Panics if the configuration is inconsistent.
-    pub fn new(cfg: LdaConfig, work_dir: impl Into<PathBuf>) -> Self {
-        cfg.validate();
-        ShardedGibbsTrainer {
-            cfg,
-            work_dir: work_dir.into(),
+    /// Panics if a document references a word outside the vocabulary of
+    /// `m` or carries a weight that is not finite and positive.
+    fn load_tokens(&mut self, docs: &[WeightedDoc], k: usize, m: usize) {
+        let n_tokens = docs.iter().map(Vec::len).sum();
+        self.tok_doc.clear();
+        self.tok_doc.reserve_exact(n_tokens);
+        self.tok_word.clear();
+        self.tok_word.reserve_exact(n_tokens);
+        self.tok_weight.clear();
+        self.tok_weight.reserve_exact(n_tokens);
+        self.doc_start.clear();
+        self.doc_start.push(0);
+        for (d, doc) in docs.iter().enumerate() {
+            for &(w, weight) in doc {
+                assert!(w < m, "word {w} outside vocabulary of {m}");
+                assert!(
+                    weight.is_finite() && weight > 0.0,
+                    "token weight must be positive, got {weight}"
+                );
+                self.tok_doc.push(d as u32);
+                self.tok_word.push(w as u32);
+                self.tok_weight.push(weight);
+            }
+            self.doc_start.push(self.tok_doc.len());
+        }
+        self.n_dk.clear();
+        self.n_dk.resize(docs.len() * k, 0.0);
+    }
+
+    /// Draws every token's initial topic from `rng` in document order and
+    /// adds the tokens to the shard's and the global count tables.
+    fn draw_topics(&mut self, rng: &mut StdRng, k: usize, n_kw: &mut Matrix, n_k: &mut [f64]) {
+        self.tok_z.clear();
+        self.tok_z.reserve_exact(self.tok_word.len());
+        for ((&d, &w), &weight) in self
+            .tok_doc
+            .iter()
+            .zip(&self.tok_word)
+            .zip(&self.tok_weight)
+        {
+            let z = rng.gen_range(0..k);
+            self.tok_z.push(z as u16);
+            self.n_dk[d as usize * k + z] += weight;
+            n_kw.add_at(z, w as usize, weight);
+            n_k[z] += weight;
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &LdaConfig {
-        &self.cfg
+    /// Overwrites the assignments and doc-topic rows from a spill encoding,
+    /// checked against this shard's loaded tokens.
+    fn decode(
+        &mut self,
+        bytes: &[u8],
+        shard: usize,
+        version: u64,
+        k: usize,
+    ) -> Result<(), &'static str> {
+        let n_tokens = self.tok_word.len();
+        decode_spill(
+            bytes,
+            shard,
+            version,
+            n_tokens,
+            k,
+            &mut self.tok_z,
+            &mut self.n_dk,
+        )
+    }
+}
+
+/// Where each shard's [`ShardState`] lives between visits: all shards in
+/// memory, or — with a spill directory — one reusable buffer in memory and
+/// every shard in versioned spill files.
+pub(crate) struct ShardStore<'a, S: DocShardSource + ?Sized> {
+    source: &'a S,
+    k: usize,
+    m: usize,
+    spill: Option<Spill>,
+    /// In memory: every shard's state, by shard. Spilled: the one buffer
+    /// every visit loads into.
+    states: Vec<ShardState>,
+}
+
+/// The spill directory of an out-of-core fit.
+struct Spill {
+    dir: PathBuf,
+    /// Per shard, spill versions strictly below this are already pruned.
+    retained_lo: Vec<u64>,
+}
+
+impl<'a, S: DocShardSource + ?Sized> ShardStore<'a, S> {
+    fn new(
+        source: &'a S,
+        k: usize,
+        m: usize,
+        spill_dir: Option<&Path>,
+    ) -> Result<Self, ResilienceError> {
+        validate_spans(source);
+        let n_shards = source.n_shards();
+        let spill = match spill_dir {
+            Some(dir) => {
+                std::fs::create_dir_all(dir)
+                    .map_err(|e| ResilienceError::io("create work dir", e))?;
+                Some(Spill {
+                    dir: dir.to_path_buf(),
+                    retained_lo: vec![0; n_shards],
+                })
+            }
+            None => None,
+        };
+        let n_states = if spill.is_some() { 1 } else { n_shards };
+        let states = (0..n_states).map(|_| ShardState::default()).collect();
+        Ok(ShardStore {
+            source,
+            k,
+            m,
+            spill,
+            states,
+        })
     }
 
-    /// Trains on a sharded source and returns the estimated model —
-    /// bit-identical to `GibbsTrainer::fit` on the concatenated documents.
-    ///
-    /// # Panics
-    /// Panics on malformed documents or an I/O failure in the work
-    /// directory.
-    pub fn fit<S: DocShardSource + ?Sized>(&self, source: &S) -> LdaModel {
-        self.fit_resumable(source, &mut TrainControl::noop(), None)
-            .expect("noop control cannot interrupt training")
+    /// A fresh fit: discards stale spills, then draws the initial topic
+    /// assignments shard by shard from one sequential RNG in global
+    /// document order, adding them to `n_kw`/`n_k`.
+    pub(crate) fn init(
+        source: &'a S,
+        k: usize,
+        m: usize,
+        spill_dir: Option<&Path>,
+        rng: &mut StdRng,
+        n_kw: &mut Matrix,
+        n_k: &mut [f64],
+    ) -> Result<Self, ResilienceError> {
+        let mut store = Self::new(source, k, m, spill_dir)?;
+        if let Some(spill) = &store.spill {
+            clear_spills(&spill.dir)?;
+        }
+        for s in 0..source.n_shards() {
+            let state = store.slot(s);
+            state.load_tokens(&source.shard_docs(s), k, m);
+            state.draw_topics(rng, k, n_kw, n_k);
+            store.leave(s, 0)?;
+        }
+        Ok(store)
     }
 
-    /// Like [`fit`](Self::fit), but consults `ctrl` at every shard-step
-    /// boundary (one shard of one sweep — so watchdog iterations count shard
-    /// steps, not sweeps) and optionally resumes from a checkpoint written
-    /// by an earlier run over the same source and work directory.
+    /// Reopens the shards of a fit checkpointed after `step` shard steps.
+    /// In memory, `carried` holds each shard's state from the checkpoint;
+    /// spilled, every shard must hold the spill version the step implies.
     ///
     /// # Errors
-    /// Interruptions and divergence as reported by `ctrl`;
-    /// [`ResilienceError::Mismatch`] when the checkpoint does not fit the
-    /// source or the work dir lacks a spill it needs;
-    /// [`ResilienceError::Corrupt`] for a damaged spill. Spills in the dense
-    /// v1 format of older builds count as corrupt: a fit started by an
-    /// older build cannot be resumed and must be restarted without a
-    /// checkpoint (a fresh run clears the stale spills).
-    pub fn fit_resumable<S: DocShardSource + ?Sized>(
-        &self,
-        source: &S,
-        ctrl: &mut TrainControl,
-        resume: Option<&Checkpoint>,
-    ) -> Result<LdaModel, ResilienceError> {
-        let k = self.cfg.n_topics;
-        let m = self.cfg.vocab_size;
-        let beta = self.cfg.beta;
-        let beta_sum = beta * m as f64;
-        let kind = self.cfg.sampler.resolve(k);
-        let n_docs = source.n_docs();
+    /// [`ResilienceError::Mismatch`] when the carried states or the spill
+    /// files do not fit the source.
+    pub(crate) fn resume(
+        source: &'a S,
+        k: usize,
+        m: usize,
+        spill_dir: Option<&Path>,
+        step: u64,
+        carried: &[&[u8]],
+    ) -> Result<Self, ResilienceError> {
         let n_shards = source.n_shards();
-        validate_spans(source);
-
-        std::fs::create_dir_all(&self.work_dir)
-            .map_err(|e| ResilienceError::io("create work dir", e))?;
-
-        // Per-shard state buffers, sized once for the largest shard and
-        // reused by every shard step.
-        let max_shard_docs = (0..n_shards)
-            .map(|s| {
-                let (lo, hi) = source.shard_span(s);
-                hi - lo
-            })
-            .max()
-            .unwrap_or(0);
-        let mut dk_buf = vec![0.0f64; max_shard_docs * k];
-        let mut tok_z: Vec<u16> = Vec::new();
-
-        let mut alpha = self.cfg.effective_alpha();
-        let mut n_kw = Matrix::zeros(k, m);
-        let mut n_k = vec![0.0f64; k];
-        let mut acc_kw = Matrix::zeros(k, m);
-        let mut acc_k = vec![0.0f64; k];
-        let mut phi_acc = Matrix::zeros(k, m);
-        let mut n_samples = 0u64;
-        let mut minka_num = 0.0;
-        let mut minka_den = 0.0;
-        let mut start_step = 0u64;
-
-        if let Some(ckpt) = resume {
-            let state = decode_state(ckpt, n_docs, n_shards, k, m)?;
-            start_step = state.step;
-            alpha = state.alpha;
-            n_kw = state.n_kw;
-            n_k = state.n_k;
-            acc_kw = state.acc_kw;
-            acc_k = state.acc_k;
-            minka_num = state.minka_num;
-            minka_den = state.minka_den;
-            phi_acc = state.phi_acc;
-            n_samples = state.n_samples;
-            // Every shard must hold the spill version the checkpoint
-            // expects: `sweep + 1` for shards already processed this sweep,
-            // `sweep` for the rest.
+        let mut store = Self::new(source, k, m, spill_dir)?;
+        if let Some(spill) = &mut store.spill {
             for s in 0..n_shards {
-                let v = expected_version(start_step, n_shards, s);
-                if !self.spill_path(s, v).is_file() {
+                let v = expected_version(step, n_shards, s);
+                if !spill_path(&spill.dir, s, v).is_file() {
                     return Err(ResilienceError::Mismatch {
                         reason: format!(
                             "work dir lacks spill version {v} for shard {s}; \
-                             cannot resume from step {start_step}"
+                             cannot resume from step {step}"
                         ),
                     });
                 }
+                spill.retained_lo[s] = v;
             }
-        } else {
-            // Fresh run: discard stale spills, then draw the initial topic
-            // assignments from one sequential RNG in global document order —
-            // the same stream the in-memory sampler consumes.
-            self.clear_spills()?;
-            let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-            for s in 0..n_shards {
-                let docs = source.shard_docs(s);
-                validate_docs(&docs, m);
-                tok_z.clear();
-                let n_dk = &mut dk_buf[..docs.len() * k];
-                n_dk.fill(0.0);
-                for (d, doc) in docs.iter().enumerate() {
-                    for &(w, weight) in doc {
-                        let z = rng.gen_range(0..k);
-                        tok_z.push(z as u16);
-                        n_dk[d * k + z] += weight;
-                        n_kw.add_at(z, w, weight);
-                        n_k[z] += weight;
-                    }
-                }
-                self.write_spill(s, 0, &tok_z, n_dk, k)?;
-            }
+            return Ok(store);
         }
-
-        let pool = Pool::global();
-        let rec = hlm_obs::global();
-        // The word alias tables are a pure function of the sweep-start
-        // snapshot `(n_kw, n_k)`, so rebuilding them at sweep start (or on a
-        // mid-sweep resume, from the checkpointed snapshot) reproduces the
-        // in-memory trainer's per-sweep tables bit for bit.
-        let mut alias_tables = (kind == SamplerChoice::AliasMh).then(|| WordAliasTables::new(k, m));
-        let mut sweep_mh_proposed = 0u64;
-        let mut sweep_mh_accepted = 0u64;
-        let total_steps = self.cfg.n_iters as u64 * n_shards as u64;
-        // Spill versions strictly below this are already pruned, per shard.
-        let mut retained_lo: Vec<u64> = (0..n_shards)
-            .map(|s| expected_version(start_step, n_shards, s))
-            .collect();
-        let mut last_ckpt_step = start_step;
-        let mut saves_seen = ctrl.saves();
-        // Until some checkpoint exists there is nothing to resume from, so
-        // only the newest spill version matters.
-        let mut have_ckpt = resume.is_some();
-
-        for step in start_step..total_steps {
-            ctrl.begin_iteration(step)?;
-            let sweep = step / n_shards as u64;
-            let s = (step % n_shards as u64) as usize;
-            if s == 0 {
-                // Sweep start: the accumulator begins at the snapshot.
-                acc_kw.copy_from(&n_kw);
-                acc_k.copy_from_slice(&n_k);
-                minka_num = 0.0;
-                minka_den = 0.0;
-            }
-            if s == 0 || step == start_step {
-                rec.add(sampler_counter(kind), 1);
-                sweep_mh_proposed = 0;
-                sweep_mh_accepted = 0;
-                if let Some(tables) = alias_tables.as_mut() {
-                    tables.rebuild(&n_kw, &n_k, beta, beta_sum);
-                }
-            }
-            let sweep_t0 = rec.is_enabled().then(std::time::Instant::now);
-
-            let docs = source.shard_docs(s);
-            validate_docs(&docs, m);
-            let (span_lo, span_hi) = source.shard_span(s);
-            debug_assert_eq!(span_hi - span_lo, docs.len());
-            let n_dk = &mut dk_buf[..docs.len() * k];
-            self.read_spill_into(s, sweep, &docs, k, &mut tok_z, n_dk)?;
-
-            // Flat token arrays, local to the shard; chunk_base lifts local
-            // chunk ids to global ones.
-            let shard_tokens = tok_z.len();
-            let mut tok_doc: Vec<u32> = Vec::with_capacity(shard_tokens);
-            let mut tok_word: Vec<u32> = Vec::with_capacity(shard_tokens);
-            let mut tok_weight: Vec<f64> = Vec::with_capacity(shard_tokens);
-            let mut doc_start = Vec::with_capacity(docs.len() + 1);
-            doc_start.push(0usize);
-            for (d, doc) in docs.iter().enumerate() {
-                for &(w, weight) in doc {
-                    tok_doc.push(d as u32);
-                    tok_word.push(w as u32);
-                    tok_weight.push(weight);
-                }
-                doc_start.push(doc_start.last().unwrap() + doc.len());
-            }
-
-            let ctx = SweepCtx {
-                tok_doc: &tok_doc,
-                tok_word: &tok_word,
-                tok_weight: &tok_weight,
-                n_kw: &n_kw,
-                n_k: &n_k,
-                k,
-                m,
-                alpha,
-                beta,
-                beta_sum,
-                seed: self.cfg.seed,
-                sweep,
-                chunk_base: span_lo / DOC_CHUNK,
-                kind,
-                alias: alias_tables.as_ref(),
-            };
-            let stride = delta_stride(kind, k, m);
-            let n_chunks = hlm_par::chunk_count(docs.len(), DOC_CHUNK);
-            let mut delta_buf = vec![0.0f64; n_chunks * stride];
-            let mut views = build_views(
-                &mut tok_z,
-                n_dk,
-                &mut delta_buf,
-                &doc_start,
-                docs.len(),
-                k,
-                stride,
-            );
-            hlm_par::par_for_each_scratch(
-                &pool,
-                sweep_budget(shard_tokens, k, kind),
-                &mut views,
-                || SweepScratch::new(k, m, kind),
-                |scratch, c, view| sweep_chunk(scratch, &ctx, c, view),
-            );
-            for view in &views {
-                sweep_mh_proposed += view.mh_proposed;
-                sweep_mh_accepted += view.mh_accepted;
-            }
-            drop(views);
-            for chunk_delta in delta_buf.chunks_exact(stride) {
-                merge_chunk_delta(kind, chunk_delta, acc_kw.as_mut_slice(), &mut acc_k, k, m);
-            }
-
-            let alpha_sweep =
-                self.cfg.optimize_alpha && (sweep as usize) < self.cfg.burn_in && sweep % 10 == 9;
-            if alpha_sweep {
-                // The shard's doc-topic rows are final for this sweep, so
-                // the Minka sums accumulate shard by shard in global
-                // document order — the order the in-memory update uses.
-                minka_alpha_accumulate(
-                    alpha,
-                    k,
-                    n_dk.chunks_exact(k),
-                    &mut minka_num,
-                    &mut minka_den,
-                );
-            }
-
-            self.write_spill(s, sweep + 1, &tok_z, n_dk, k)?;
-
-            if s == n_shards - 1 {
-                // Sweep end: publish the merged tables and run the
-                // end-of-sweep bookkeeping exactly as the in-memory sampler
-                // does.
-                n_kw.copy_from(&acc_kw);
-                n_k.copy_from_slice(&acc_k);
-                if alpha_sweep {
-                    alpha = minka_alpha_finish(alpha, k, minka_num, minka_den);
-                }
-                let iter = sweep as usize;
-                let past_burn_in = iter >= self.cfg.burn_in;
-                let on_lag =
-                    (iter - self.cfg.burn_in.min(iter)).is_multiple_of(self.cfg.sample_lag);
-                if past_burn_in && on_lag {
-                    for (t, &nk) in n_k.iter().enumerate().take(k) {
-                        let phi_row = &mut phi_acc.as_mut_slice()[t * m..(t + 1) * m];
-                        accumulate_phi_row(phi_row, n_kw.row(t), nk, beta, beta_sum);
-                    }
-                    n_samples += 1;
-                }
-                if kind == SamplerChoice::AliasMh {
-                    rec.add("lda.mh.proposed", sweep_mh_proposed);
-                    rec.add("lda.mh.accepted", sweep_mh_accepted);
-                    if rec.is_enabled() && sweep_mh_proposed > 0 {
-                        rec.trace(
-                            "lda.mh.acceptance_rate",
-                            sweep,
-                            sweep_mh_accepted as f64 / sweep_mh_proposed as f64,
-                        );
-                    }
-                }
-                if let Some(t0) = sweep_t0 {
-                    rec.observe("lda.gibbs.sweep_seconds", t0.elapsed().as_secs_f64());
-                    rec.add("lda.gibbs.sweeps", 1);
-                    rec.trace(
-                        "lda.gibbs.log_likelihood",
-                        sweep,
-                        gibbs_log_likelihood(&n_kw, &n_k, beta),
-                    );
-                }
-                ctrl.check_metric(sweep, "topic mass", n_k.iter().sum())?;
-            } else if let Some(t0) = sweep_t0 {
-                rec.observe("lda.gibbs.shard_seconds", t0.elapsed().as_secs_f64());
-            }
-
-            ctrl.checkpoint(step + 1, || {
-                encode_state(&ShardedGibbsState {
-                    step: step + 1,
-                    n_shards: n_shards as u64,
-                    n_docs: n_docs as u64,
-                    alpha,
-                    n_kw: n_kw.clone(),
-                    n_k: n_k.clone(),
-                    acc_kw: acc_kw.clone(),
-                    acc_k: acc_k.clone(),
-                    minka_num,
-                    minka_den,
-                    phi_acc: phi_acc.clone(),
-                    n_samples,
-                })
-            });
-            if ctrl.saves() > saves_seen {
-                saves_seen = ctrl.saves();
-                last_ckpt_step = step + 1;
-                have_ckpt = true;
-            }
-            // Prune spill versions no resume-from-latest-checkpoint can
-            // need any more.
-            let keep = if have_ckpt {
-                expected_version(last_ckpt_step, n_shards, s)
-            } else {
-                sweep + 1
-            };
-            for v in retained_lo[s]..keep {
-                let _ = std::fs::remove_file(self.spill_path(s, v));
-            }
-            retained_lo[s] = retained_lo[s].max(keep);
-        }
-
-        assert!(
-            n_samples > 0,
-            "no phi samples collected; check burn_in / n_iters"
-        );
-        phi_acc.scale_mut(1.0 / n_samples as f64);
-        phi_acc.normalize_rows();
-        Ok(LdaModel::new(phi_acc, alpha, beta))
-    }
-
-    /// Materializes a model directly from a checkpoint — the rollback path.
-    /// Fails if the checkpoint predates burn-in (no phi samples yet).
-    pub fn model_from_checkpoint(&self, ckpt: &Checkpoint) -> Result<LdaModel, ResilienceError> {
-        if ckpt.kind != SHARDED_GIBBS_CHECKPOINT_KIND {
+        if carried.len() != n_shards {
             return Err(ResilienceError::Mismatch {
-                reason: format!("kind {} != {SHARDED_GIBBS_CHECKPOINT_KIND}", ckpt.kind),
+                reason: format!(
+                    "checkpoint carries {} in-memory shard states, the fit has {n_shards} \
+                     shards (a checkpoint of an out-of-core fit resumes only with its \
+                     spill directory)",
+                    carried.len()
+                ),
             });
         }
-        let state: ShardedGibbsState = parse_payload(&ckpt.payload)?;
-        if state.n_samples == 0 {
-            return Err(ResilienceError::Mismatch {
-                reason: "checkpoint predates burn-in: no phi samples collected".to_string(),
-            });
+        for (s, (state, bytes)) in store.states.iter_mut().zip(carried).enumerate() {
+            state.load_tokens(&source.shard_docs(s), k, m);
+            // The checkpoint envelope is checksummed, so a state that does
+            // not decode belongs to another corpus or configuration.
+            state
+                .decode(bytes, s, expected_version(step, n_shards, s), k)
+                .map_err(|what| ResilienceError::Mismatch {
+                    reason: format!("checkpoint state of shard {s}: {what}"),
+                })?;
         }
-        let mut phi = state.phi_acc;
-        phi.scale_mut(1.0 / state.n_samples as f64);
-        phi.normalize_rows();
-        Ok(LdaModel::new(phi, state.alpha, self.cfg.beta))
+        Ok(store)
     }
 
-    fn spill_path(&self, shard: usize, version: u64) -> PathBuf {
-        self.work_dir
-            .join(format!("gibbs_shard_{shard:05}_v{version}.bin"))
+    fn slot(&mut self, s: usize) -> &mut ShardState {
+        let i = if self.spill.is_some() { 0 } else { s };
+        &mut self.states[i]
     }
 
-    /// Removes every spill file this trainer could have written.
-    fn clear_spills(&self) -> Result<(), ResilienceError> {
-        let entries = std::fs::read_dir(&self.work_dir)
-            .map_err(|e| ResilienceError::io("read work dir", e))?;
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if name.starts_with("gibbs_shard_") && name.ends_with(".bin") {
-                std::fs::remove_file(entry.path())
-                    .map_err(|e| ResilienceError::io("remove stale spill", e))?;
-            }
+    /// Shard `s` at the start of sweep `sweep`, ready to sample; spilled
+    /// shards are re-read from their documents and their spill.
+    pub(crate) fn visit(
+        &mut self,
+        s: usize,
+        sweep: u64,
+    ) -> Result<&mut ShardState, ResilienceError> {
+        let (k, m, source) = (self.k, self.m, self.source);
+        let Some(spill) = &self.spill else {
+            return Ok(&mut self.states[s]);
+        };
+        let state = &mut self.states[0];
+        state.load_tokens(&source.shard_docs(s), k, m);
+        read_spill(&spill.dir, s, sweep, k, state)?;
+        Ok(state)
+    }
+
+    /// Ends a visit of shard `s`, whose state is now at spill `version`
+    /// (sweeps completed): spilled shards are written out.
+    pub(crate) fn leave(&mut self, s: usize, version: u64) -> Result<(), ResilienceError> {
+        match &self.spill {
+            Some(spill) => write_spill(&spill.dir, s, version, &self.states[0], self.k),
+            None => Ok(()),
         }
-        Ok(())
     }
 
-    /// Writes a shard's spill atomically (temp file + rename); see
-    /// [`encode_spill`] for the layout.
-    fn write_spill(
-        &self,
-        shard: usize,
-        version: u64,
-        tok_z: &[u16],
-        n_dk: &[f64],
-        k: usize,
-    ) -> Result<(), ResilienceError> {
-        let rec = hlm_obs::global();
-        let t0 = rec.is_enabled().then(std::time::Instant::now);
-        let bytes = encode_spill(shard, version, tok_z, n_dk, k);
-        let path = self.spill_path(shard, version);
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, &bytes).map_err(|e| ResilienceError::io("write spill", e))?;
-        std::fs::rename(&tmp, &path).map_err(|e| ResilienceError::io("commit spill", e))?;
-        if let Some(t0) = t0 {
-            rec.add("lda.spill.bytes_written", bytes.len() as u64);
-            rec.observe("lda.spill_seconds", t0.elapsed().as_secs_f64());
+    /// Drops the spill versions of shard `s` that no resume can need any
+    /// more, given the sweep just finished for it and the step of the
+    /// latest checkpoint (`None` before the first one).
+    pub(crate) fn prune(&mut self, s: usize, sweep: u64, last_ckpt: Option<u64>) {
+        let n_shards = self.source.n_shards();
+        let Some(spill) = &mut self.spill else {
+            return;
+        };
+        let keep = match last_ckpt {
+            Some(step) => expected_version(step, n_shards, s),
+            None => sweep + 1,
+        };
+        for v in spill.retained_lo[s]..keep {
+            let _ = std::fs::remove_file(spill_path(&spill.dir, s, v));
         }
-        Ok(())
+        spill.retained_lo[s] = spill.retained_lo[s].max(keep);
     }
 
-    /// Reads a shard's spill at an exact version into `tok_z` and the dense
-    /// doc-topic block `n_dk` (`docs.len() × k`, overwritten in full),
-    /// verifying the checksum, the format and that the shapes match the
-    /// freshly loaded documents.
-    fn read_spill_into(
-        &self,
-        shard: usize,
-        version: u64,
-        docs: &[WeightedDoc],
-        k: usize,
-        tok_z: &mut Vec<u16>,
-        n_dk: &mut [f64],
-    ) -> Result<(), ResilienceError> {
-        let rec = hlm_obs::global();
-        let t0 = rec.is_enabled().then(std::time::Instant::now);
-        let path = self.spill_path(shard, version);
-        let bytes = std::fs::read(&path).map_err(|e| ResilienceError::io("read spill", e))?;
-        let n_tokens = docs.iter().map(Vec::len).sum();
-        decode_spill(&bytes, shard, version, n_tokens, k, tok_z, n_dk).map_err(|what| {
-            ResilienceError::corrupt(format!("spill {}: {what}", path.display()))
-        })?;
-        if let Some(t0) = t0 {
-            rec.add("lda.spill.bytes_read", bytes.len() as u64);
-            rec.observe("lda.spill_seconds", t0.elapsed().as_secs_f64());
+    /// Appends every in-memory shard's state, in the spill encoding, to a
+    /// checkpoint payload taken after `step` shard steps: a newline, then
+    /// per shard a `u64` LE length and the encoding. Spilled shards add
+    /// nothing — their state is in the spill files.
+    pub(crate) fn append_states(&self, step: u64, out: &mut Vec<u8>) {
+        if self.spill.is_some() {
+            return;
         }
-        Ok(())
+        out.push(b'\n');
+        let n_shards = self.states.len();
+        for (s, state) in self.states.iter().enumerate() {
+            let v = expected_version(step, n_shards, s);
+            let bytes = encode_spill(s, v, &state.tok_z, &state.n_dk, self.k);
+            out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+            out.extend_from_slice(&bytes);
+        }
     }
+}
 
-    /// [`read_spill_into`](Self::read_spill_into) into fresh buffers.
-    #[cfg(test)]
-    fn read_spill(
-        &self,
-        shard: usize,
-        version: u64,
-        docs: &[WeightedDoc],
-        k: usize,
-    ) -> Result<(Vec<u16>, Vec<f64>), ResilienceError> {
-        let mut tok_z = Vec::new();
-        let mut n_dk = vec![0.0; docs.len() * k];
-        self.read_spill_into(shard, version, docs, k, &mut tok_z, &mut n_dk)?;
-        Ok((tok_z, n_dk))
+/// Splits what [`ShardStore::append_states`] appended into the per-shard
+/// encodings (none for a payload without a newline tail).
+pub(crate) fn split_states(tail: &[u8]) -> Result<Vec<&[u8]>, ResilienceError> {
+    let mut rest = tail;
+    let mut states = Vec::new();
+    while !rest.is_empty() {
+        let len = rest
+            .get(..8)
+            .map(|b| le_u64(b) as usize)
+            .ok_or_else(|| ResilienceError::corrupt("gibbs payload: truncated shard length"))?;
+        let bytes = 8usize
+            .checked_add(len)
+            .and_then(|end| rest.get(8..end))
+            .ok_or_else(|| ResilienceError::corrupt("gibbs payload: truncated shard state"))?;
+        states.push(bytes);
+        rest = &rest[8 + len..];
     }
+    Ok(states)
+}
+
+fn spill_path(dir: &Path, shard: usize, version: u64) -> PathBuf {
+    dir.join(format!("gibbs_shard_{shard:05}_v{version}.bin"))
+}
+
+/// Removes every spill file a fit could have left in `dir`.
+fn clear_spills(dir: &Path) -> Result<(), ResilienceError> {
+    let entries = std::fs::read_dir(dir).map_err(|e| ResilienceError::io("read work dir", e))?;
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if name.starts_with("gibbs_shard_") && name.ends_with(".bin") {
+            std::fs::remove_file(entry.path())
+                .map_err(|e| ResilienceError::io("remove stale spill", e))?;
+        }
+    }
+    Ok(())
+}
+
+/// Writes a shard's spill atomically (temp file + rename); see
+/// [`encode_spill`] for the layout.
+fn write_spill(
+    dir: &Path,
+    shard: usize,
+    version: u64,
+    state: &ShardState,
+    k: usize,
+) -> Result<(), ResilienceError> {
+    let rec = hlm_obs::global();
+    let t0 = rec.is_enabled().then(std::time::Instant::now);
+    let bytes = encode_spill(shard, version, &state.tok_z, &state.n_dk, k);
+    let path = spill_path(dir, shard, version);
+    let tmp = path.with_extension("tmp");
+    std::fs::write(&tmp, &bytes).map_err(|e| ResilienceError::io("write spill", e))?;
+    std::fs::rename(&tmp, &path).map_err(|e| ResilienceError::io("commit spill", e))?;
+    if let Some(t0) = t0 {
+        rec.add("lda.spill.bytes_written", bytes.len() as u64);
+        rec.observe("lda.spill_seconds", t0.elapsed().as_secs_f64());
+    }
+    Ok(())
+}
+
+/// Reads a shard's spill at an exact version into `state`, whose tokens
+/// must already be loaded, verifying the checksum, the format and that the
+/// shapes match those tokens.
+fn read_spill(
+    dir: &Path,
+    shard: usize,
+    version: u64,
+    k: usize,
+    state: &mut ShardState,
+) -> Result<(), ResilienceError> {
+    let rec = hlm_obs::global();
+    let t0 = rec.is_enabled().then(std::time::Instant::now);
+    let path = spill_path(dir, shard, version);
+    let bytes = std::fs::read(&path).map_err(|e| ResilienceError::io("read spill", e))?;
+    state
+        .decode(&bytes, shard, version, k)
+        .map_err(|what| ResilienceError::corrupt(format!("spill {}: {what}", path.display())))?;
+    if let Some(t0) = t0 {
+        rec.add("lda.spill.bytes_read", bytes.len() as u64);
+        rec.observe("lda.spill_seconds", t0.elapsed().as_secs_f64());
+    }
+    Ok(())
 }
 
 /// Encodes one shard's state as a v2 spill:
@@ -776,74 +691,40 @@ fn validate_spans<S: DocShardSource + ?Sized>(source: &S) {
     assert_eq!(expect_lo, source.n_docs(), "spans must cover all documents");
 }
 
-fn validate_docs(docs: &[WeightedDoc], m: usize) {
-    for doc in docs {
-        for &(w, weight) in doc {
-            assert!(w < m, "word {w} outside vocabulary of {m}");
-            assert!(
-                weight.is_finite() && weight > 0.0,
-                "token weight must be positive, got {weight}"
-            );
-        }
-    }
-}
-
-fn encode_state(state: &ShardedGibbsState) -> Vec<u8> {
-    serde_json::to_string(state)
-        .expect("sharded gibbs state serializes")
-        .into_bytes()
-}
-
-fn parse_payload(payload: &[u8]) -> Result<ShardedGibbsState, ResilienceError> {
-    let text = std::str::from_utf8(payload)
-        .map_err(|_| ResilienceError::corrupt("sharded gibbs payload is not UTF-8"))?;
-    serde_json::from_str(text)
-        .map_err(|e| ResilienceError::corrupt(format!("sharded gibbs payload does not parse: {e}")))
-}
-
-fn decode_state(
-    ckpt: &Checkpoint,
-    n_docs: usize,
-    n_shards: usize,
-    k: usize,
-    m: usize,
-) -> Result<ShardedGibbsState, ResilienceError> {
-    if ckpt.kind != SHARDED_GIBBS_CHECKPOINT_KIND {
-        return Err(ResilienceError::Mismatch {
-            reason: format!("kind {} != {SHARDED_GIBBS_CHECKPOINT_KIND}", ckpt.kind),
-        });
-    }
-    let state = parse_payload(&ckpt.payload)?;
-    if state.n_docs != n_docs as u64 || state.n_shards != n_shards as u64 {
-        return Err(ResilienceError::Mismatch {
-            reason: format!(
-                "checkpoint is for {} docs in {} shards, source has {n_docs} in {n_shards}",
-                state.n_docs, state.n_shards
-            ),
-        });
-    }
-    if state.n_kw.rows() != k
-        || state.n_kw.cols() != m
-        || state.acc_kw.rows() != k
-        || state.acc_kw.cols() != m
-        || state.n_k.len() != k
-        || state.acc_k.len() != k
-        || state.phi_acc.rows() != k
-        || state.phi_acc.cols() != m
-    {
-        return Err(ResilienceError::Mismatch {
-            reason: "checkpoint count-table shapes do not match the configuration".to_string(),
-        });
-    }
-    Ok(state)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gibbs::GibbsTrainer;
+    use crate::gibbs::{GibbsTrainer, GIBBS_CHECKPOINT_KIND};
+    use crate::model::LdaConfig;
     use crate::unit_weights;
-    use hlm_resilience::{CheckpointStore, MemIo, RunGuard};
+    use hlm_resilience::{CheckpointStore, MemIo, RunGuard, TrainControl};
+    use rand::SeedableRng;
+
+    /// Direct access to an out-of-core trainer's spill files.
+    impl GibbsTrainer {
+        fn spill_path(&self, shard: usize, version: u64) -> PathBuf {
+            spill_path(self.spill_dir.as_deref().unwrap(), shard, version)
+        }
+
+        fn read_spill(
+            &self,
+            shard: usize,
+            version: u64,
+            docs: &[WeightedDoc],
+            k: usize,
+        ) -> Result<(Vec<u16>, Vec<f64>), ResilienceError> {
+            let mut state = ShardState::default();
+            state.load_tokens(docs, k, self.config().vocab_size);
+            read_spill(
+                self.spill_dir.as_deref().unwrap(),
+                shard,
+                version,
+                k,
+                &mut state,
+            )?;
+            Ok((state.tok_z, state.n_dk))
+        }
+    }
 
     fn planted_docs(n_docs: usize, seed: u64) -> Vec<WeightedDoc> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -888,7 +769,7 @@ mod tests {
         let full = GibbsTrainer::new(cfg(2, 7)).fit(&docs);
         for n_shards in [1, 2, 4] {
             let dir = work_dir(&format!("mem_{n_shards}"));
-            let trainer = ShardedGibbsTrainer::new(cfg(2, 7), &dir);
+            let trainer = GibbsTrainer::with_spill_dir(cfg(2, 7), &dir);
             let model = trainer.fit(&MemDocShards::new(&docs, n_shards));
             assert_eq!(model.phi(), full.phi(), "n_shards={n_shards}");
             assert_eq!(model.alpha(), full.alpha(), "n_shards={n_shards}");
@@ -911,7 +792,7 @@ mod tests {
         let c = cfg(24, 23);
         let full = GibbsTrainer::new(c.clone()).fit(&docs);
         let dir = work_dir("sparse");
-        let model = ShardedGibbsTrainer::new(c, &dir).fit(&MemDocShards::new(&docs, 3));
+        let model = GibbsTrainer::with_spill_dir(c, &dir).fit(&MemDocShards::new(&docs, 3));
         assert_eq!(model.phi(), full.phi());
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -925,19 +806,16 @@ mod tests {
         let n_shards = source.n_shards();
 
         let dir = work_dir("resume");
-        let trainer = ShardedGibbsTrainer::new(c, &dir);
+        let trainer = GibbsTrainer::with_spill_dir(c, &dir);
         let store = CheckpointStore::new(Box::new(MemIo::new()));
         // Abort mid-sweep: step 90 is sweep 22 (past burn-in), shard 2 of 4.
         let abort_step = 22 * n_shards as u64 + 2;
-        let mut ctrl = TrainControl::new(SHARDED_GIBBS_CHECKPOINT_KIND, &store)
+        let mut ctrl = TrainControl::new(GIBBS_CHECKPOINT_KIND, &store)
             .with_guard(RunGuard::unlimited().abort_at_iteration(abort_step));
         let err = trainer.fit_resumable(&source, &mut ctrl, None).unwrap_err();
         assert!(err.is_interruption());
 
-        let ckpt = store
-            .latest_good(SHARDED_GIBBS_CHECKPOINT_KIND)
-            .unwrap()
-            .unwrap();
+        let ckpt = store.latest_good(GIBBS_CHECKPOINT_KIND).unwrap().unwrap();
         assert_eq!(ckpt.iteration, abort_step);
         let resumed = trainer
             .fit_resumable(&source, &mut TrainControl::noop(), Some(&ckpt))
@@ -953,15 +831,12 @@ mod tests {
         let c = cfg(2, 5);
         let source = MemDocShards::new(&docs, 2);
         let dir = work_dir("guards");
-        let trainer = ShardedGibbsTrainer::new(c, &dir);
+        let trainer = GibbsTrainer::with_spill_dir(c, &dir);
         let store = CheckpointStore::new(Box::new(MemIo::new()));
-        let mut ctrl = TrainControl::new(SHARDED_GIBBS_CHECKPOINT_KIND, &store)
+        let mut ctrl = TrainControl::new(GIBBS_CHECKPOINT_KIND, &store)
             .with_guard(RunGuard::unlimited().abort_at_iteration(9));
         trainer.fit_resumable(&source, &mut ctrl, None).unwrap_err();
-        let ckpt = store
-            .latest_good(SHARDED_GIBBS_CHECKPOINT_KIND)
-            .unwrap()
-            .unwrap();
+        let ckpt = store.latest_good(GIBBS_CHECKPOINT_KIND).unwrap().unwrap();
 
         // Different shard layout.
         let other = MemDocShards::new(&docs, 1);
@@ -984,7 +859,7 @@ mod tests {
     fn corrupt_spill_is_rejected() {
         let docs = planted_docs(64, 4);
         let dir = work_dir("corrupt");
-        let trainer = ShardedGibbsTrainer::new(cfg(2, 5), &dir);
+        let trainer = GibbsTrainer::with_spill_dir(cfg(2, 5), &dir);
         let source = MemDocShards::new(&docs, 1);
         // Run once so a spill exists, then flip a byte and read it back.
         let _ = trainer.fit(&source);
@@ -1002,7 +877,7 @@ mod tests {
     fn spill_versions_are_pruned_without_checkpointing() {
         let docs = planted_docs(128, 6);
         let dir = work_dir("prune");
-        let trainer = ShardedGibbsTrainer::new(cfg(2, 9), &dir);
+        let trainer = GibbsTrainer::with_spill_dir(cfg(2, 9), &dir);
         let _ = trainer.fit(&MemDocShards::new(&docs, 2));
         // Without a checkpoint sink nothing pins old versions, so only the
         // newest spill per shard survives — not one file per sweep.
@@ -1158,7 +1033,7 @@ mod tests {
         body.extend_from_slice(rows);
         let dir = work_dir(&format!("hand_{:016x}", fnv1a(rows)));
         std::fs::create_dir_all(&dir).unwrap();
-        let trainer = ShardedGibbsTrainer::new(cfg(4, 1), &dir);
+        let trainer = GibbsTrainer::with_spill_dir(cfg(4, 1), &dir);
         std::fs::write(trainer.spill_path(0, 0), sealed(body)).unwrap();
         let result = trainer.read_spill(0, 0, &docs, 4);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1267,15 +1142,12 @@ mod tests {
         let source = MemDocShards::new(&docs, 2);
         let n_shards = source.n_shards();
         let dir = work_dir("v1");
-        let trainer = ShardedGibbsTrainer::new(cfg(2, 13), &dir);
+        let trainer = GibbsTrainer::with_spill_dir(cfg(2, 13), &dir);
         let store = CheckpointStore::new(Box::new(MemIo::new()));
-        let mut ctrl = TrainControl::new(SHARDED_GIBBS_CHECKPOINT_KIND, &store)
+        let mut ctrl = TrainControl::new(GIBBS_CHECKPOINT_KIND, &store)
             .with_guard(RunGuard::unlimited().abort_at_iteration(9));
         trainer.fit_resumable(&source, &mut ctrl, None).unwrap_err();
-        let ckpt = store
-            .latest_good(SHARDED_GIBBS_CHECKPOINT_KIND)
-            .unwrap()
-            .unwrap();
+        let ckpt = store.latest_good(GIBBS_CHECKPOINT_KIND).unwrap().unwrap();
         for s in 0..n_shards {
             let v = expected_version(ckpt.iteration, n_shards, s);
             let (tok_z, n_dk) = trainer.read_spill(s, v, &source.shard_docs(s), 2).unwrap();

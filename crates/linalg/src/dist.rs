@@ -220,8 +220,8 @@ impl AliasTable {
 /// allocation-free after the first sweep. Construction is the same Walker
 /// pairing as [`AliasTable::new`]; a table built twice from the same weights
 /// is bit-identical (leftover slots are canonicalized to `alias[i] = i`), so
-/// rebuilds are pure functions of the weights — the property the sharded
-/// trainer relies on to match the in-memory trainer bit-for-bit.
+/// rebuilds are pure functions of the weights — the property the Gibbs
+/// trainer relies on to give the same bits at every shard layout.
 #[derive(Debug, Clone)]
 pub struct AliasTableSet {
     k: usize,

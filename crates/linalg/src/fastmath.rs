@@ -1,132 +1,11 @@
-//! Opt-in reduced-precision kernels behind the `fast-math` cargo feature.
-//!
-//! With the feature **off** (the default) every function here forwards to the
-//! exact `f64` implementation in [`crate::vector`] / [`crate::matrix`], so
-//! enabling a dependent crate without the feature changes nothing — the
-//! workspace's bit-identity contracts (DESIGN.md §3.3) hold untouched.
-//!
-//! With `fast-math` **on**, `dot`, `axpy` and `matmul_nt` accumulate in `f32`
-//! with an 8-wide manual unroll. The lane structure is fixed by the input
-//! length alone, so results are still deterministic run-to-run and
-//! thread-count-independent — they just differ from the f64 path by rounding.
-//! Callers that feed results back into checkpointed state (Gibbs counts, LSTM
-//! parameters) must therefore treat the feature as a *different model
-//! configuration*, not a drop-in: checkpoints written with the feature on are
-//! only resumable with it on. The LDA sampler and the LSTM minibatch path opt
-//! in through their own forwarded `fast-math` features.
-
-use crate::matrix::Matrix;
-
-/// True when this build was compiled with the `fast-math` feature, so callers
-/// (benches, metrics) can label reduced-precision results honestly.
-pub const FAST_MATH_ENABLED: bool = cfg!(feature = "fast-math");
-
-/// Dot product; f32 accumulation when `fast-math` is enabled.
-///
-/// # Panics
-/// Panics if the lengths differ.
-#[inline]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    #[cfg(not(feature = "fast-math"))]
-    {
-        crate::vector::dot(a, b)
-    }
-    #[cfg(feature = "fast-math")]
-    {
-        assert_eq!(
-            a.len(),
-            b.len(),
-            "dot length mismatch: {} vs {}",
-            a.len(),
-            b.len()
-        );
-        // Eight independent f32 accumulators: twice the lanes of the exact
-        // path because f32 FMAs retire at double the SIMD width.
-        let mut ca = a.chunks_exact(8);
-        let mut cb = b.chunks_exact(8);
-        let mut s = [0.0f32; 8];
-        for (xa, xb) in ca.by_ref().zip(cb.by_ref()) {
-            for l in 0..8 {
-                s[l] += xa[l] as f32 * xb[l] as f32;
-            }
-        }
-        let mut tail = 0.0f32;
-        for (&x, &y) in ca.remainder().iter().zip(cb.remainder()) {
-            tail += x as f32 * y as f32;
-        }
-        let lo = (s[0] + s[1]) + (s[2] + s[3]);
-        let hi = (s[4] + s[5]) + (s[6] + s[7]);
-        ((lo + hi) + tail) as f64
-    }
-}
-
-/// In-place `a += alpha * b`; f32 products when `fast-math` is enabled.
-///
-/// # Panics
-/// Panics if the lengths differ.
-#[inline]
-pub fn axpy(a: &mut [f64], alpha: f64, b: &[f64]) {
-    #[cfg(not(feature = "fast-math"))]
-    {
-        crate::vector::axpy(a, alpha, b)
-    }
-    #[cfg(feature = "fast-math")]
-    {
-        assert_eq!(a.len(), b.len(), "axpy length mismatch");
-        let alpha32 = alpha as f32;
-        let mut ca = a.chunks_exact_mut(8);
-        let mut cb = b.chunks_exact(8);
-        for (xa, xb) in ca.by_ref().zip(cb.by_ref()) {
-            for l in 0..8 {
-                xa[l] += (alpha32 * xb[l] as f32) as f64;
-            }
-        }
-        for (x, &y) in ca.into_remainder().iter_mut().zip(cb.remainder()) {
-            *x += (alpha32 * y as f32) as f64;
-        }
-    }
-}
-
-/// `A * B^T`; per-cell `fastmath::dot` when `fast-math` is enabled, the
-/// tiled exact kernel otherwise.
-///
-/// # Panics
-/// Panics if the inner dimensions (`a.cols` vs `b.cols`) differ.
-#[inline]
-pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
-    #[cfg(not(feature = "fast-math"))]
-    {
-        a.matmul_nt(b)
-    }
-    #[cfg(feature = "fast-math")]
-    {
-        assert_eq!(
-            a.cols(),
-            b.cols(),
-            "matmul_nt dimension mismatch: {}x{} * ({}x{})^T",
-            a.rows(),
-            a.cols(),
-            b.rows(),
-            b.cols()
-        );
-        let mut out = Matrix::zeros(a.rows(), b.rows());
-        for i in 0..a.rows() {
-            let ra = a.row(i);
-            let orow = &mut out.as_mut_slice()[i * b.rows()..(i + 1) * b.rows()];
-            for (j, o) in orow.iter_mut().enumerate() {
-                *o = dot(ra, b.row(j));
-            }
-        }
-        out
-    }
-}
+//! Reduced-precision `f32` kernels. Callers opt in at runtime by
+//! materializing `f32` data (e.g. `hlm-core`'s `RepStore` f32 scoring path);
+//! every other numeric path in the workspace stays exact `f64`.
 
 /// Dot product over native `f32` slices with the same 4-lane unroll as the
-/// exact `f64` kernel. Unlike the feature-gated functions above, this is
-/// always available: callers opt in *at runtime* by materializing `f32`
-/// data (e.g. `hlm-core`'s `RepStore` f32 scoring path). The lane structure
-/// is fixed by the input length alone, so results are deterministic
-/// run-to-run and thread-count-independent.
+/// exact `f64` kernel. The lane structure is fixed by the input length
+/// alone, so results are deterministic run-to-run and
+/// thread-count-independent.
 ///
 /// # Panics
 /// Panics if the lengths differ.
@@ -183,50 +62,5 @@ mod tests {
         let b = vec![2.0f32; 9];
         assert_eq!(dot_f32(&a, &b).to_bits(), dot_f32(&a, &b).to_bits());
         assert_eq!(dot_f32(&a, &b), 18.0);
-    }
-
-    #[test]
-    fn dot_tracks_exact_path() {
-        let a: Vec<f64> = (0..37).map(|i| (i as f64).sin()).collect();
-        let b: Vec<f64> = (0..37).map(|i| (i as f64 * 0.7).cos()).collect();
-        let fast = dot(&a, &b);
-        let exact = crate::vector::dot(&a, &b);
-        // Exact equality with the feature off; f32-rounding tolerance on.
-        if FAST_MATH_ENABLED {
-            assert!((fast - exact).abs() < 1e-4 * exact.abs().max(1.0));
-        } else {
-            assert_eq!(fast.to_bits(), exact.to_bits());
-        }
-    }
-
-    #[test]
-    fn axpy_tracks_exact_path() {
-        let b: Vec<f64> = (0..21).map(|i| i as f64 * 0.25 - 2.0).collect();
-        let mut fast = vec![1.0; 21];
-        let mut exact = vec![1.0; 21];
-        axpy(&mut fast, 0.5, &b);
-        crate::vector::axpy(&mut exact, 0.5, &b);
-        for (f, e) in fast.iter().zip(&exact) {
-            if FAST_MATH_ENABLED {
-                assert!((f - e).abs() < 1e-5);
-            } else {
-                assert_eq!(f.to_bits(), e.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn matmul_nt_tracks_exact_path() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[0.5, -1.0, 2.0]]);
-        let b = Matrix::from_rows(&[&[1.0, 0.0, 1.0], &[2.0, 1.0, 0.0]]);
-        let fast = matmul_nt(&a, &b);
-        let exact = a.matmul_nt(&b);
-        for (f, e) in fast.as_slice().iter().zip(exact.as_slice()) {
-            if FAST_MATH_ENABLED {
-                assert!((f - e).abs() < 1e-4);
-            } else {
-                assert_eq!(f.to_bits(), e.to_bits());
-            }
-        }
     }
 }

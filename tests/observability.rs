@@ -101,7 +101,7 @@ fn recorder_is_a_pure_observer_and_sinks_keep_their_schema() {
     let _ = std::fs::remove_dir_all(&spill_dir);
     let docs = hlm_core::representations::binary_docs(&corpus, &split.train);
     let shards = hlm_lda::MemDocShards::new(&docs, 2);
-    hlm_lda::ShardedGibbsTrainer::new(quick_lda_config(3, corpus.vocab().len()), &spill_dir)
+    hlm_lda::GibbsTrainer::with_spill_dir(quick_lda_config(3, corpus.vocab().len()), &spill_dir)
         .fit(&shards);
     let spill_snap = hlm_obs::global().snapshot();
     let spill_counter = |name: &str| -> u64 {
@@ -133,6 +133,24 @@ fn recorder_is_a_pure_observer_and_sinks_keep_their_schema() {
     // One write per shard at init, then one read and one write per step.
     let n_shards = hlm_lda::DocShardSource::n_shards(&shards) as u64;
     assert_eq!(spill_hist, n_shards + 2 * 80 * n_shards);
+    // Every sweep is timed whole and every shard step on its own, so the
+    // shard steps nest inside the sweeps.
+    let hist = |name: &str| {
+        spill_snap
+            .histograms
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|(_, h)| (h.count, h.sum))
+            .unwrap_or_else(|| panic!("{name} histogram missing"))
+    };
+    let (sweeps, sweep_sum) = hist("lda.gibbs.sweep_seconds");
+    let (shard_steps, shard_sum) = hist("lda.gibbs.shard_seconds");
+    assert_eq!(sweeps, 80, "one sweep observation per sweep");
+    assert_eq!(shard_steps, 80 * n_shards, "one shard observation per step");
+    assert!(
+        sweep_sum >= shard_sum,
+        "sweeps {sweep_sum}s must cover their shard steps {shard_sum}s"
+    );
 
     // Restore globals for any later process reuse.
     hlm_obs::install(hlm_obs::Recorder::noop());

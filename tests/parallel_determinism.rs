@@ -12,7 +12,7 @@
 use hlm_bpmf::{BpmfConfig, Rating};
 use hlm_lda::{
     document_completion_perplexity, GibbsTrainer, LdaConfig, MemDocShards, SamplerChoice,
-    ShardedGibbsTrainer, SHARDED_GIBBS_CHECKPOINT_KIND,
+    GIBBS_CHECKPOINT_KIND,
 };
 use hlm_resilience::{CheckpointStore, MemIo, RunGuard, TrainControl};
 use hlm_tests::{index_sequences, quick_lda, test_corpus, test_split};
@@ -110,7 +110,7 @@ fn parallel_hot_paths_are_bit_identical_across_thread_counts() {
     let dir = std::env::temp_dir().join(format!("hlm_par_det_alias_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let source = MemDocShards::new(&train_docs, 3);
-    let trainer = ShardedGibbsTrainer::new(alias_cfg.clone(), &dir);
+    let trainer = GibbsTrainer::with_spill_dir(alias_cfg.clone(), &dir);
     let sharded_bits: Vec<u64> = trainer
         .fit(&source)
         .phi()
@@ -126,14 +126,11 @@ fn parallel_hot_paths_are_bit_identical_across_thread_counts() {
     // shard 0) and resume from the latest good checkpoint.
     let store = CheckpointStore::new(Box::new(MemIo::new()));
     let abort_step = 12 * 3 + 1;
-    let mut ctrl = TrainControl::new(SHARDED_GIBBS_CHECKPOINT_KIND, &store)
+    let mut ctrl = TrainControl::new(GIBBS_CHECKPOINT_KIND, &store)
         .with_guard(RunGuard::unlimited().abort_at_iteration(abort_step));
     let err = trainer.fit_resumable(&source, &mut ctrl, None).unwrap_err();
     assert!(err.is_interruption());
-    let ckpt = store
-        .latest_good(SHARDED_GIBBS_CHECKPOINT_KIND)
-        .unwrap()
-        .unwrap();
+    let ckpt = store.latest_good(GIBBS_CHECKPOINT_KIND).unwrap().unwrap();
     assert_eq!(ckpt.iteration, abort_step);
     let resumed_bits: Vec<u64> = trainer
         .fit_resumable(&source, &mut TrainControl::noop(), Some(&ckpt))

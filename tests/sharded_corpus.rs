@@ -17,7 +17,7 @@ use hlm_engine::{
     fit_lda, fit_lda_sharded_gibbs, fit_lda_sharded_online_vb, LdaEstimator, TrainPlan,
 };
 use hlm_lda::{LdaConfig, OnlineVbOptions};
-use hlm_resilience::RunGuard;
+use hlm_resilience::{CheckpointStore, RunGuard};
 use std::path::PathBuf;
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -162,6 +162,50 @@ fn killed_sharded_gibbs_resumes_to_the_uninterrupted_result() {
         "kill/resume changed the model"
     );
     assert_eq!(resumed.model.alpha(), uninterrupted.model.alpha());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn server_warm_starts_from_an_out_of_core_fit() {
+    // Out-of-core and in-memory fits write one checkpoint kind, so the
+    // server's restart path reads the store a sharded fit leaves behind.
+    let cfg = GeneratorConfig::with_size_and_seed(200, 41);
+    let lda = lda_config(38);
+    let dir = tmp_dir("warm_start");
+    let store = hlm_datagen::generate_sharded(&cfg, 3, &dir).expect("stream-generate");
+    let ckpt = dir.join("ckpt");
+    let fit = fit_lda_sharded_gibbs(
+        lda.clone(),
+        &store,
+        dir.join("work"),
+        TrainPlan::default().on_disk(&ckpt).expect("checkpoint dir"),
+    )
+    .expect("sharded fit");
+
+    let engine = hlm_engine::Engine::new(hlm_datagen::generate(&cfg));
+    let bundle = hlm_serve::bundle_from_checkpoint(
+        &engine,
+        &lda,
+        &CheckpointStore::on_disk(&ckpt).expect("checkpoint store"),
+        hlm_core::DistanceMetric::Cosine,
+        hlm_engine::ServeOptions::default(),
+    )
+    .expect("warm start from the sharded fit's checkpoints");
+    assert_eq!(
+        bundle.checkpoint_iteration,
+        lda.n_iters as u64 * store.n_shards() as u64
+    );
+    let warmed = bundle
+        .resilient
+        .primary()
+        .as_any()
+        .downcast_ref::<hlm_lda::LdaModel>()
+        .expect("the primary is the LDA model");
+    assert_eq!(
+        warmed.phi().as_slice(),
+        fit.model.phi().as_slice(),
+        "warm start changed phi"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
