@@ -1,8 +1,8 @@
-//! Criterion micro-benchmarks of the three Gibbs token-sampler kernels —
-//! dense scan, SparseLDA-style buckets, and LightLDA-style alias tables
-//! with Metropolis-Hastings correction — across the topic counts where
-//! `SamplerChoice::Auto` switches between them (≤16 dense, ≤64 bucket,
-//! above that alias-MH).
+//! Criterion micro-benchmarks of the two Gibbs token-sampler kernels —
+//! dense scan and LightLDA-style alias tables with Metropolis-Hastings
+//! correction — on both sides of the topic count where
+//! `SamplerChoice::Auto` switches between them (≤48 dense, above that
+//! alias-MH).
 //!
 //! Each benchmark times a short fixed-sweep fit on the same synthetic
 //! corpus, so the numbers compare kernels, not convergence. Like
@@ -50,7 +50,6 @@ fn bench_samplers(c: &mut Criterion) {
     for k in [3usize, 16, 64, 256] {
         for (name, sampler) in [
             ("dense", SamplerChoice::Dense),
-            ("bucket", SamplerChoice::Bucket),
             ("alias", SamplerChoice::AliasMh),
         ] {
             group.bench_function(&format!("{name}_k{k}"), |b| {

@@ -22,9 +22,9 @@
 //!    Gibbs fit and one online-VB epoch over the store, and records
 //!    tokens/s plus the process peak RSS against an estimate of the
 //!    in-memory footprint.
-//! 5. **Sampler kernels** (PR 8) — tokens/s of the three Gibbs token
-//!    samplers (dense scan, SparseLDA buckets, LightLDA alias-MH) at
-//!    K = 128 on one thread, then a 1/2/4/8-thread sweep of the alias-MH
+//! 5. **Sampler kernels** (PR 8) — tokens/s of the two Gibbs token
+//!    samplers (dense scan, LightLDA alias-MH) at K = 128 and K = 256 on
+//!    one thread, then a 1/2/4/8-thread sweep of the alias-MH
 //!    kernel asserting bit-identical phi at every thread count. Speedup
 //!    figures from the sweep are marked valid only when the host
 //!    actually has more than one hardware thread.
@@ -131,20 +131,19 @@ struct SamplerRun {
     tokens_per_second: f64,
 }
 
-/// The serial shoot-out at one topic count: dense / bucket / alias-MH,
-/// each at one thread, best over interleaved rounds.
+/// The serial shoot-out at one topic count: dense / alias-MH, each at one
+/// thread, best over interleaved rounds.
 struct SamplerKGroup {
     k: usize,
     sweeps: usize,
     serial: Vec<SamplerRun>,
     alias_vs_dense: f64,
-    alias_vs_bucket: f64,
 }
 
 /// Everything phase 5 measures (sampler kernels; skipped at xl).
 struct SamplerReport {
     tokens: usize,
-    /// One serial shoot-out per topic count — the scanning kernels are
+    /// One serial shoot-out per topic count — the dense kernel is
     /// O(K)-per-token and the alias proposals O(1), so the ratio's growth
     /// across K is the structural claim, not any single number.
     by_k: Vec<SamplerKGroup>,
@@ -418,13 +417,11 @@ fn run_sharded(scale: &ExpScale) -> ShardedReport {
     }
 }
 
-/// Phase 5: the PR 8 sampler-kernel shoot-out. K = 128 is the first regime
-/// `SamplerChoice::Auto` routes to alias-MH (everything ≤ 64 goes to the
-/// scanning kernels), and on the paper's 38-product vocabulary a medium
-/// corpus makes every word-topic row dense there — the bucket sampler's
-/// per-token scan is provably O(K) while the alias proposals stay O(1).
-/// Measuring at K = 128 *and* K = 256 exposes that scaling: the alias
-/// kernel's time stays flat while the scanning kernels double.
+/// Phase 5: the PR 8 sampler-kernel shoot-out, at two topic counts that
+/// `SamplerChoice::Auto` routes to alias-MH. The dense kernel's per-token
+/// scan is O(K) while the alias proposals stay O(1), so measuring at
+/// K = 128 *and* K = 256 exposes that scaling: the alias kernel's time
+/// stays flat while the dense kernel's doubles.
 fn run_samplers(scale: &ExpScale, hardware: usize) -> SamplerReport {
     let corpus = scale.corpus();
     let split = scale.split(&corpus);
@@ -443,14 +440,13 @@ fn run_samplers(scale: &ExpScale, hardware: usize) -> SamplerReport {
     };
 
     set_threads(1);
-    // Interleaved rounds (dense, bucket, alias, dense, …) rather than
+    // Interleaved rounds (dense, alias, dense, …) rather than
     // best-of-N per kernel back to back: host-level throttling drifts on
     // the scale of a whole phase, and interleaving exposes every kernel to
     // the same drift so the *ratios* stay honest even when absolute times
     // wobble.
-    const KERNELS: [(&str, SamplerChoice); 3] = [
+    const KERNELS: [(&str, SamplerChoice); 2] = [
         ("dense", SamplerChoice::Dense),
-        ("bucket", SamplerChoice::Bucket),
         ("alias", SamplerChoice::AliasMh),
     ];
     let mut by_k = Vec::new();
@@ -477,11 +473,7 @@ fn run_samplers(scale: &ExpScale, hardware: usize) -> SamplerReport {
             })
             .collect();
         let alias_vs_dense = json::finite_or(
-            serial[2].tokens_per_second / serial[0].tokens_per_second,
-            0.0,
-        );
-        let alias_vs_bucket = json::finite_or(
-            serial[2].tokens_per_second / serial[1].tokens_per_second,
+            serial[1].tokens_per_second / serial[0].tokens_per_second,
             0.0,
         );
         by_k.push(SamplerKGroup {
@@ -489,7 +481,6 @@ fn run_samplers(scale: &ExpScale, hardware: usize) -> SamplerReport {
             sweeps,
             serial,
             alias_vs_dense,
-            alias_vs_bucket,
         });
     }
 
@@ -951,10 +942,7 @@ fn main() {
                     r.name, r.train_seconds, r.tokens_per_second
                 );
             }
-            println!(
-                "    alias vs dense {:.2}x, alias vs bucket {:.2}x",
-                g.alias_vs_dense, g.alias_vs_bucket
-            );
+            println!("    alias vs dense {:.2}x", g.alias_vs_dense);
         }
         let sweep: Vec<String> = sp
             .thread_sweep
@@ -1122,9 +1110,8 @@ fn main() {
                 let _ = writeln!(j, "       ],");
                 let _ = writeln!(
                     j,
-                    "       \"alias_vs_dense\": {:.4}, \"alias_vs_bucket\": {:.4}}}{}",
+                    "       \"alias_vs_dense\": {:.4}}}{}",
                     g.alias_vs_dense,
-                    g.alias_vs_bucket,
                     if gi + 1 < sp.by_k.len() { "," } else { "" }
                 );
             }

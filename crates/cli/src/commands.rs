@@ -43,11 +43,11 @@ USAGE:
       a time, Gibbs results bit-identical to in-memory training) and
       --estimator picks gibbs (default; --iters = sweeps) or online-vb
       (Hoffman-style stochastic VB; --iters = epochs). --sampler picks
-      the Gibbs token kernel: auto (default; by topic count), dense,
-      bucket (SparseLDA buckets), or alias (LightLDA alias tables with
-      Metropolis-Hastings correction; fastest at large K). A fixed
-      choice is part of the sampling schedule — resume with the same
-      one.
+      the Gibbs token kernel: auto (default; dense up to 48 topics,
+      alias above), dense, or alias (LightLDA alias tables with
+      Metropolis-Hastings correction; fastest at large K). The kernel
+      is part of the sampling schedule and is recorded in each
+      checkpoint; resuming under another one fails.
   hlm similar --data DIR --company DUNS [--k K] [--whitespace W]
       Top-K most similar companies and whitespace recommendations.
   hlm serve --data DIR [--port P] [--port-file PATH] [--workers N]
@@ -1168,6 +1168,60 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.exit_code(), 4);
         assert!(err.to_string().contains("retired in-memory JSON"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn topics_resume_under_another_sampler_exits_4() {
+        let dir = tmp_dir("sampler_resume");
+        generate(150, 9, &dir, None).unwrap();
+        let ck = format!("{dir}/checkpoints");
+        // K = 3 under `Auto` samples with the dense kernel.
+        let killed = TrainFlags {
+            checkpoint_dir: Some(ck.clone()),
+            abort_at: Some(20),
+            ..TrainFlags::default()
+        };
+        let auto = hlm_lda::SamplerChoice::Auto;
+        topics(&dir, 3, 60, TopicsEstimator::Gibbs, auto, &killed).unwrap_err();
+        let resumed = TrainFlags {
+            checkpoint_dir: Some(ck),
+            resume: true,
+            ..TrainFlags::default()
+        };
+        let alias = hlm_lda::SamplerChoice::AliasMh;
+        let err = topics(&dir, 3, 60, TopicsEstimator::Gibbs, alias, &resumed).unwrap_err();
+        assert_eq!(err.exit_code(), 4);
+        let msg = err.to_string();
+        assert!(msg.contains("dense") && msg.contains("alias"), "{msg}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn topics_resume_over_only_retired_sharded_checkpoints_exits_4() {
+        let dir = tmp_dir("retired_kind_resume");
+        generate(150, 9, &dir, None).unwrap();
+        let ck = format!("{dir}/checkpoints");
+        // The kind older builds gave out-of-core checkpoints: nothing of the
+        // current kind is there, so the resume must not start over silently.
+        let payload = br#"{"step":9,"n_shards":2,"n_docs":150,"alpha":0.5}"#;
+        CheckpointStore::on_disk(&ck)
+            .unwrap()
+            .save(&hlm_resilience::Checkpoint::new(
+                "lda-gibbs-sharded",
+                9,
+                payload.to_vec(),
+            ))
+            .unwrap();
+        let resumed = TrainFlags {
+            checkpoint_dir: Some(ck),
+            resume: true,
+            ..TrainFlags::default()
+        };
+        let auto = hlm_lda::SamplerChoice::Auto;
+        let err = topics(&dir, 3, 60, TopicsEstimator::Gibbs, auto, &resumed).unwrap_err();
+        assert_eq!(err.exit_code(), 4);
+        assert!(err.to_string().contains("`lda-gibbs-sharded`"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

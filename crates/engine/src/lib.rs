@@ -685,10 +685,11 @@ impl TrainPlan {
     }
 
     /// Override the Gibbs token-sampler kernel (`Auto` picks by topic
-    /// count). A fixed choice is part of the sampling schedule: changing it
-    /// changes the RNG consumption pattern, so resumed runs must keep the
-    /// choice their checkpoints were written under. Ignored by estimators
-    /// without a Gibbs kernel (VB, online VB).
+    /// count). The kernel is part of the sampling schedule: changing it
+    /// changes the RNG consumption pattern, so each checkpoint records the
+    /// resolved kernel and a resume that resolves to another one fails
+    /// with [`ResilienceError::Mismatch`]. Ignored by estimators without a
+    /// Gibbs kernel (VB, online VB).
     pub fn with_sampler(mut self, sampler: hlm_lda::SamplerChoice) -> Self {
         self.sampler = Some(sampler);
         self
@@ -743,7 +744,26 @@ fn run_resilient<M>(
     } = plan;
 
     let resume_ckpt = match (&store, resume) {
-        (Some(s), true) => s.latest_good(kind)?,
+        (Some(s), true) => match s.latest_good(kind)? {
+            // Nothing of this kind to resume: an empty store starts fresh,
+            // but a store holding another kind (say, a format older builds
+            // wrote) means the resume was aimed at a run this fit cannot
+            // continue.
+            None => match s.latest_any()? {
+                Some(other) => {
+                    return Err(ResilienceError::Mismatch {
+                        reason: format!(
+                            "asked to resume a `{kind}` fit, but the newest checkpoint is of \
+                             kind `{}` (iteration {}); restart without resuming",
+                            other.kind, other.iteration
+                        ),
+                    }
+                    .into())
+                }
+                None => None,
+            },
+            found => found,
+        },
         _ => None,
     };
     let resumed_from = resume_ckpt.as_ref().map(|c| c.iteration);
@@ -813,7 +833,9 @@ fn run_resilient<M>(
 /// when the watchdog trips (resumable — see
 /// [`EngineError::is_interruption`]), divergence hits with no good
 /// checkpoint to fall back to, or the checkpoint to resume from does not
-/// fit (including checkpoints in formats older builds wrote).
+/// fit (including checkpoints in formats older builds wrote, checkpoints
+/// of another sampler kernel, and a store that holds only checkpoints of
+/// another kind).
 pub fn fit_lda_resilient(
     mut config: LdaConfig,
     estimator: LdaEstimator,

@@ -52,7 +52,7 @@ const MH_CYCLES: usize = 2;
 const INV_REFRESH: usize = 128;
 
 /// Cost-model estimate of one sweep: per weighted token, fixed bookkeeping
-/// plus roughly one multiply-accumulate per topic for the scanning kernels;
+/// plus roughly one multiply-accumulate per topic for the dense kernel;
 /// the alias-MH kernel is O(1) per token (in [`Budget`] units of ~1 ns of
 /// serial work).
 fn sweep_budget(n_tokens: usize, k: usize, kind: SamplerChoice) -> Budget {
@@ -62,8 +62,8 @@ fn sweep_budget(n_tokens: usize, k: usize, kind: SamplerChoice) -> Budget {
     }
 }
 
-/// Stride of one chunk's slice of the shared delta buffer. The scanning
-/// kernels write a dense `k*m` topic-word delta plus `k` topic totals; the
+/// Stride of one chunk's slice of the shared delta buffer. The dense
+/// kernel writes a dense `k*m` topic-word delta plus `k` topic totals; the
 /// alias kernel writes a sparse `[n, (cell, delta)*n, .., k totals]` record
 /// (the pair region is sized for the worst case, the tail `k` totals always
 /// sit at the end of the slice).
@@ -113,7 +113,6 @@ fn merge_chunk_delta(
 fn sampler_counter(kind: SamplerChoice) -> &'static str {
     match kind {
         SamplerChoice::Dense => "lda.sampler.dense",
-        SamplerChoice::Bucket => "lda.sampler.bucket",
         SamplerChoice::AliasMh => "lda.sampler.alias",
         // Unreachable after `resolve`, kept total for safety.
         SamplerChoice::Auto => "lda.sampler.auto",
@@ -229,9 +228,9 @@ struct SweepCtx<'a> {
 
 /// Per-slot scratch reused across every chunk a pool slot processes, so
 /// the inner sampling loop allocates nothing. Everything read is fully
-/// re-initialized per chunk (tables, reciprocals, word lists) or per
-/// document (topic list), keeping chunk results a pure function of the
-/// chunk — the `par_for_each_scratch` contract.
+/// re-initialized per chunk (tables, reciprocals) or per document (topic
+/// list), keeping chunk results a pure function of the chunk — the
+/// `par_for_each_scratch` contract.
 struct SweepScratch {
     /// Chunk-local topic-word counts (`k*m`), copied from the sweep-start
     /// snapshot at chunk entry. Empty in alias mode, which reads
@@ -246,17 +245,11 @@ struct SweepScratch {
     /// Cached reciprocals `1 / (k_tot[t] + Mβ)` — turns the per-topic
     /// division of the collapsed conditional into a multiply.
     inv: Vec<f64>,
-    /// Dense cumulative-weight buffer for the fused sampler (`k`).
+    /// Cumulative-weight buffer for the dense sampler (`k`).
     cum: Vec<f64>,
     /// Maintained sparse topic list of the document being sampled
-    /// (topics with positive doc-topic count).
+    /// (topics with positive doc-topic count; alias mode only).
     doc_topics: Vec<u16>,
-    /// Cumulative weights over `doc_topics`.
-    doc_cum: Vec<f64>,
-    /// Maintained per-word sparse topic lists (bucket sampler only).
-    word_topics: Vec<Vec<u16>>,
-    /// Cumulative weights over one word's topic list.
-    word_cum: Vec<f64>,
     /// Generation stamps for per-document topic seeding (alias mode only):
     /// lets a document's distinct topics be collected by scanning its own
     /// tokens — O(doc length) — instead of its dense O(K) doc-topic row.
@@ -274,9 +267,6 @@ impl SweepScratch {
             inv: vec![0.0; k],
             cum: vec![0.0; k],
             doc_topics: Vec::with_capacity(k),
-            doc_cum: vec![0.0; k],
-            word_topics: vec![Vec::new(); if kind == SamplerChoice::Bucket { m } else { 0 }],
-            word_cum: vec![0.0; k],
             doc_stamp: vec![0; if alias { k } else { 0 }],
             doc_gen: 0,
         }
@@ -360,80 +350,6 @@ fn sample_dense(
     ctx.k - 1
 }
 
-/// SparseLDA-style bucket sampler (Yao, Mimno & McCallum): the sampling
-/// mass decomposes as
-///
-/// ```text
-/// p(t) ∝ αβ·inv[t]  +  n_dk[t]·β·inv[t]  +  (n_dk[t] + α)·n_kw[t,w]·inv[t]
-///        (s: smoothing)  (r: doc-sparse)     (q: word-sparse)
-/// ```
-///
-/// so one uniform draw lands in the word bucket (scanned over the
-/// maintained word-topic list), the document bucket (scanned over the
-/// maintained per-document topic list) or — rarely — the smoothing bucket
-/// (dense scan over the cached reciprocals). `inv_sum` is the maintained
-/// `Σ_t inv[t]`; tiny negative count residues from weighted-token
-/// cancellation are clamped out of the probability terms only, never out
-/// of the count tables.
-fn sample_sparse(
-    scratch: &mut SweepScratch,
-    dk_row: &[f64],
-    w: usize,
-    inv_sum: f64,
-    ctx: &SweepCtx,
-    rng: &mut StdRng,
-) -> usize {
-    let m = ctx.m;
-    let mut q = 0.0;
-    for (slot, &t) in scratch.word_topics[w].iter().enumerate() {
-        let t = t as usize;
-        let kwv = scratch.kw[t * m + w].max(0.0);
-        q += (dk_row[t] + ctx.alpha) * kwv * scratch.inv[t];
-        scratch.word_cum[slot] = q;
-    }
-    let mut r = 0.0;
-    for (slot, &t) in scratch.doc_topics.iter().enumerate() {
-        let t = t as usize;
-        r += dk_row[t].max(0.0) * ctx.beta * scratch.inv[t];
-        scratch.doc_cum[slot] = r;
-    }
-    let s = ctx.alpha * ctx.beta * inv_sum;
-    let u = rng.gen::<f64>() * (q + r + s);
-    if u < q {
-        let wlist = &scratch.word_topics[w];
-        for (slot, &t) in wlist.iter().enumerate() {
-            if u < scratch.word_cum[slot] {
-                return t as usize;
-            }
-        }
-        if let Some(&t) = wlist.last() {
-            return t as usize;
-        }
-    }
-    let u = u - q;
-    if u < r {
-        for (slot, &t) in scratch.doc_topics.iter().enumerate() {
-            if u < scratch.doc_cum[slot] {
-                return t as usize;
-            }
-        }
-        if let Some(&t) = scratch.doc_topics.last() {
-            return t as usize;
-        }
-    }
-    // Smoothing bucket: u_s ∈ [0, Σ inv) after dividing out αβ. The
-    // incremental inv_sum can drift by ulps from the true Σ, so the scan
-    // clamps to the last topic.
-    let mut u = (u - r).max(0.0) / (ctx.alpha * ctx.beta);
-    for (t, &invv) in scratch.inv.iter().enumerate().take(ctx.k - 1) {
-        u -= invv;
-        if u < 0.0 {
-            return t;
-        }
-    }
-    ctx.k - 1
-}
-
 /// LightLDA-style alias-MH kernel for one chunk: per token, [`MH_CYCLES`]
 /// cycles of an O(1) word proposal (drawn from the per-sweep per-word alias
 /// table) and an O(topics-in-doc) doc proposal (`q(t) ∝ dk⁺(t) + α`), each
@@ -444,15 +360,15 @@ fn sample_sparse(
 /// every [`INV_REFRESH`] tokens. The *proposal* `q̃_w` is sweep-stale
 /// (that staleness is what MH corrects, LightLDA §4.2) and π's
 /// reciprocals at most a few dozen tokens stale, so the chain tracks the
-/// same per-chunk conditional as the dense and bucket samplers closely
-/// enough that `tests/sampler_equivalence.rs` can pin its perplexity to
-/// theirs. Every per-topic factor of π and q̃ is
+/// same per-chunk conditional as the dense sampler closely enough that
+/// `tests/sampler_equivalence.rs` can pin its perplexity to the dense
+/// sampler's. Every per-topic factor of π and q̃ is
 /// constant while one token's MH steps run (the token is decremented once
 /// before the cycles and reinserted after), so the current state's
 /// factors are computed once and carried across proposals instead of
-/// re-derived per step. The `⁺` clamps match the bucket sampler's
-/// convention: tiny negative residues from weighted-token cancellation
-/// are clamped out of probability terms only. The RNG draw pattern is
+/// re-derived per step. The `⁺` clamps keep tiny negative residues from
+/// weighted-token cancellation out of the probability terms only, never
+/// out of the count tables. The RNG draw pattern is
 /// fixed — every proposal consumes its draws and every step draws its
 /// acceptance uniform whether or not the proposal moves — so the stream
 /// stays aligned across any accept/reject outcome, thread count, or
@@ -665,78 +581,25 @@ fn sweep_chunk(scratch: &mut SweepScratch, ctx: &SweepCtx, chunk: usize, view: &
     for (inv, &tot) in scratch.inv.iter_mut().zip(scratch.k_tot.iter()) {
         *inv = 1.0 / (tot + ctx.beta_sum);
     }
-    let sparse = ctx.kind == SamplerChoice::Bucket;
-    let mut inv_sum = 0.0;
-    if sparse {
-        inv_sum = scratch.inv.iter().sum();
-        for list in &mut scratch.word_topics {
-            list.clear();
-        }
-        for t in 0..k {
-            for (w, &c) in scratch.kw[t * m..(t + 1) * m].iter().enumerate() {
-                if c > 0.0 {
-                    scratch.word_topics[w].push(t as u16);
-                }
-            }
-        }
-    }
-    let mut cur_doc = usize::MAX;
     for j in 0..view.z.len() {
         let i = view.t_lo + j;
         let d = ctx.tok_doc[i] as usize;
         let w = ctx.tok_word[i] as usize;
         let weight = ctx.tok_weight[i];
         let row = (d - view.d_lo) * k;
-        if sparse && d != cur_doc {
-            cur_doc = d;
-            scratch.doc_topics.clear();
-            for (t, &c) in view.dk[row..row + k].iter().enumerate() {
-                if c > 0.0 {
-                    scratch.doc_topics.push(t as u16);
-                }
-            }
-        }
         let old_z = view.z[j] as usize;
 
         view.dk[row + old_z] -= weight;
         scratch.kw[old_z * m + w] -= weight;
         scratch.k_tot[old_z] -= weight;
-        if sparse {
-            inv_sum -= scratch.inv[old_z];
-        }
         scratch.inv[old_z] = 1.0 / (scratch.k_tot[old_z] + ctx.beta_sum);
-        if sparse {
-            inv_sum += scratch.inv[old_z];
-            if view.dk[row + old_z] <= 0.0 {
-                remove_topic(&mut scratch.doc_topics, old_z);
-            }
-            if scratch.kw[old_z * m + w] <= 0.0 {
-                remove_topic(&mut scratch.word_topics[w], old_z);
-            }
-        }
 
-        let new_z = if sparse {
-            sample_sparse(scratch, &view.dk[row..row + k], w, inv_sum, ctx, &mut rng)
-        } else {
-            sample_dense(scratch, &view.dk[row..row + k], w, ctx, &mut rng)
-        };
+        let new_z = sample_dense(scratch, &view.dk[row..row + k], w, ctx, &mut rng);
 
-        if sparse {
-            if view.dk[row + new_z] <= 0.0 {
-                scratch.doc_topics.push(new_z as u16);
-            }
-            if scratch.kw[new_z * m + w] <= 0.0 {
-                scratch.word_topics[w].push(new_z as u16);
-            }
-            inv_sum -= scratch.inv[new_z];
-        }
         view.dk[row + new_z] += weight;
         scratch.kw[new_z * m + w] += weight;
         scratch.k_tot[new_z] += weight;
         scratch.inv[new_z] = 1.0 / (scratch.k_tot[new_z] + ctx.beta_sum);
-        if sparse {
-            inv_sum += scratch.inv[new_z];
-        }
         view.z[j] = new_z as u16;
     }
     // Deltas relative to the sweep-start snapshot, fully overwriting the
@@ -782,6 +645,12 @@ struct SweepState {
     step: u64,
     n_shards: u64,
     n_docs: u64,
+    /// Resolved per-token kernel the chain was sampled with (never `Auto`).
+    /// A resume under another kernel would splice two chains, so
+    /// [`check_shape`] refuses it; payloads of older builds lack the field
+    /// and are refused by [`decode_payload`].
+    #[serde(default)]
+    sampler: Option<SamplerChoice>,
     alpha: f64,
     /// Sweep-start snapshot tables (the tables every chunk samples against).
     n_kw: Matrix,
@@ -889,7 +758,7 @@ impl GibbsTrainer {
         let (mut st, mut shards) = match resume {
             Some(ckpt) => {
                 let (st, carried) = decode_payload(ckpt)?;
-                check_shape(&st, source, k, m)?;
+                check_shape(&st, source, k, m, kind)?;
                 let shards = ShardStore::resume(source, k, m, spill_dir, st.step, &carried)?;
                 (st, shards)
             }
@@ -898,6 +767,7 @@ impl GibbsTrainer {
                     step: 0,
                     n_shards: n_shards as u64,
                     n_docs: source.n_docs() as u64,
+                    sampler: Some(kind),
                     alpha: self.cfg.effective_alpha(),
                     n_kw: Matrix::zeros(k, m),
                     n_k: vec![0.0; k],
@@ -1160,18 +1030,33 @@ fn decode_payload(ckpt: &Checkpoint) -> Result<(SweepState, Vec<&[u8]>), Resilie
     };
     let text = std::str::from_utf8(head)
         .map_err(|_| ResilienceError::corrupt("gibbs payload is not UTF-8"))?;
-    let st = serde_json::from_str(text)
+    let st: SweepState = serde_json::from_str(text)
         .map_err(|e| ResilienceError::corrupt(format!("gibbs payload does not parse: {e}")))?;
+    if st.sampler.is_none() {
+        return Err(retired("kernel-less `lda-gibbs`"));
+    }
     Ok((st, split_states(tail)?))
 }
 
-/// Checks a checkpoint's global state against the source and configuration.
+/// Checks a checkpoint's global state against the source, the configuration
+/// and the resolved kernel `kind`.
 fn check_shape<S: DocShardSource + ?Sized>(
     st: &SweepState,
     source: &S,
     k: usize,
     m: usize,
+    kind: SamplerChoice,
 ) -> Result<(), ResilienceError> {
+    if let Some(written) = st.sampler.filter(|&s| s != kind) {
+        return Err(ResilienceError::Mismatch {
+            reason: format!(
+                "checkpoint was sampled with the {} kernel, this run uses {}; resume \
+                 with the kernel the checkpoint was written under",
+                written.name(),
+                kind.name()
+            ),
+        });
+    }
     let (n_docs, n_shards) = (source.n_docs(), source.n_shards());
     if st.n_docs != n_docs as u64 || st.n_shards != n_shards as u64 {
         return Err(ResilienceError::Mismatch {
@@ -1424,15 +1309,15 @@ mod tests {
     }
 
     #[test]
-    fn sparse_sampler_is_deterministic_and_well_formed() {
-        // At K = 24 `Auto` resolves to the SparseLDA-style bucket sampler;
-        // it must keep every contract the dense path has.
+    fn dense_sampler_at_k24_is_deterministic_and_well_formed() {
+        // At K = 24 `Auto` resolves to the dense sampler; it must keep every
+        // contract it has at the paper's small K.
         let docs = unit_weights(&planted_docs(60, 5));
         let cfg = quick_cfg(24, 6, 17);
-        assert_eq!(cfg.sampler.resolve(cfg.n_topics), SamplerChoice::Bucket);
+        assert_eq!(cfg.sampler.resolve(cfg.n_topics), SamplerChoice::Dense);
         let a = GibbsTrainer::new(cfg.clone()).fit(&docs);
         let b = GibbsTrainer::new(cfg).fit(&docs);
-        assert_eq!(a.phi(), b.phi(), "sparse path must be seed-deterministic");
+        assert_eq!(a.phi(), b.phi(), "dense path must be seed-deterministic");
         for t in 0..24 {
             let s: f64 = a.phi().row(t).iter().sum();
             assert!((s - 1.0).abs() < 1e-9, "row {t} sums to {s}");
@@ -1441,11 +1326,11 @@ mod tests {
     }
 
     #[test]
-    fn sparse_sampler_handles_weighted_tokens_and_resume() {
+    fn dense_sampler_handles_weighted_tokens_and_resume() {
         use hlm_resilience::{CheckpointStore, MemIo, RunGuard};
 
-        // Fractional weights exercise the tiny-residue clamps in the
-        // bucket sampler; kill/resume must stay bit-identical.
+        // Fractional weights leave tiny count residues in the dense
+        // sampler's tables; kill/resume must stay bit-identical.
         let mut rng = StdRng::seed_from_u64(91);
         let docs: Vec<WeightedDoc> = (0..50)
             .map(|_| {
@@ -1470,7 +1355,7 @@ mod tests {
         assert_eq!(
             resumed.phi(),
             full.phi(),
-            "sparse resume must be bit-identical"
+            "dense resume must be bit-identical"
         );
     }
 
@@ -1596,6 +1481,59 @@ mod tests {
         assert_retired(&ckpt, "retired out-of-core `lda-gibbs-sharded` format");
     }
 
+    /// A K = 2 dense checkpoint written mid-run, with the corpus it is for.
+    fn dense_checkpoint() -> (Vec<WeightedDoc>, Checkpoint) {
+        use hlm_resilience::{CheckpointStore, MemIo, RunGuard};
+
+        let docs = unit_weights(&planted_docs(30, 3));
+        let store = CheckpointStore::new(Box::new(MemIo::new()));
+        let mut ctrl = TrainControl::new(GIBBS_CHECKPOINT_KIND, &store)
+            .with_guard(RunGuard::unlimited().abort_at_iteration(70));
+        GibbsTrainer::new(quick_cfg(2, 6, 11))
+            .fit_resumable(&docs, &mut ctrl, None)
+            .unwrap_err();
+        let ckpt = store.latest_good(GIBBS_CHECKPOINT_KIND).unwrap().unwrap();
+        (docs, ckpt)
+    }
+
+    #[test]
+    fn resume_under_another_kernel_is_a_typed_error() {
+        let (docs, ckpt) = dense_checkpoint();
+        let alias = GibbsTrainer::new(LdaConfig {
+            sampler: SamplerChoice::AliasMh,
+            ..quick_cfg(2, 6, 11)
+        });
+        let err = alias
+            .fit_resumable(&docs, &mut TrainControl::noop(), Some(&ckpt))
+            .unwrap_err();
+        assert!(matches!(err, ResilienceError::Mismatch { .. }), "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains("dense") && msg.contains("alias"), "{msg}");
+
+        // `Auto` resolves to dense at K = 2, so it continues the chain.
+        GibbsTrainer::new(quick_cfg(2, 6, 11))
+            .fit_resumable(&docs, &mut TrainControl::noop(), Some(&ckpt))
+            .unwrap();
+    }
+
+    #[test]
+    fn resume_over_a_checkpoint_without_a_kernel_is_a_typed_error() {
+        // The payload older builds wrote: the current global state minus
+        // the recorded kernel.
+        let (_, ckpt) = dense_checkpoint();
+        let payload = &ckpt.payload;
+        let key = b"\"sampler\":";
+        let at = payload
+            .windows(key.len())
+            .position(|w| w == key)
+            .expect("the payload records its kernel");
+        let end = at + payload[at..].iter().position(|&b| b == b',').unwrap() + 1;
+        let mut stripped = payload[..at].to_vec();
+        stripped.extend_from_slice(&payload[end..]);
+        let old = Checkpoint::new(GIBBS_CHECKPOINT_KIND, ckpt.iteration, stripped);
+        assert_retired(&old, "retired kernel-less `lda-gibbs` format");
+    }
+
     #[test]
     fn in_memory_checkpoint_carries_the_shard_state() {
         use hlm_resilience::{CheckpointStore, MemIo, RunGuard};
@@ -1623,8 +1561,8 @@ mod tests {
 
     #[test]
     fn alias_sampler_is_deterministic_and_well_formed() {
-        // Above K = 64 `Auto` resolves to the alias-MH sampler; it must keep
-        // every contract the scanning paths have.
+        // At K = 80 `Auto` resolves to the alias-MH sampler; it must keep
+        // every contract the dense path has.
         let docs = unit_weights(&planted_docs(60, 5));
         let cfg = quick_cfg(80, 6, 17);
         assert_eq!(cfg.sampler.resolve(cfg.n_topics), SamplerChoice::AliasMh);

@@ -6,9 +6,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
+/// Largest topic count `SamplerChoice::Auto` sends to the dense kernel.
+const DENSE_MAX_TOPICS: usize = 48;
+
 /// Which per-token kernel the collapsed Gibbs sweep uses.
 ///
-/// All three sample from the *same* collapsed conditional — the choice
+/// Both sample from the *same* collapsed conditional — the choice
 /// changes the constant factor per token, never the distribution — but each
 /// consumes RNG draws differently, so a fixed choice is part of the
 /// deterministic sampling schedule: changing it changes the chain, keeping
@@ -24,9 +27,6 @@ pub enum SamplerChoice {
     Auto,
     /// Fused dense cumulative pass — O(K) per token, lowest constant.
     Dense,
-    /// SparseLDA bucket sampler (Yao–Mimno–McCallum) — O(topics present)
-    /// per token.
-    Bucket,
     /// LightLDA-style alias-method Metropolis–Hastings — O(1) proposals
     /// from per-word alias tables rebuilt each sweep, accepted against the
     /// exact conditional.
@@ -34,23 +34,20 @@ pub enum SamplerChoice {
 }
 
 impl SamplerChoice {
-    /// Resolves `Auto` to a concrete kernel for topic count `k`. The
-    /// cutoffs come from `bench_samplers`: the dense fused pass wins small
-    /// K, the bucket sampler's list scans win mid K, and the O(1) alias-MH
-    /// proposals win once K outgrows the per-word topic lists (with M = 38
-    /// the lists are near-dense by K = 64, so the bucket scan is O(K)
-    /// again).
+    /// Resolves `Auto` to a concrete kernel for topic count `k`: the dense
+    /// pass up to K = 48 (`DENSE_MAX_TOPICS`), alias-MH above it.
+    ///
+    /// The cutoff is the measured crossover. Alternating single-thread fits
+    /// on a 20k-company corpus (38 products), per sweep net of fixed cost
+    /// (10 vs 50–70 sweeps), median of 7–9 pairs: dense 23.6 / alias
+    /// 31.5 ms at K = 32, 26.3 / 28.2 ms at K = 48 (dense faster in 12 of
+    /// 16 pairs), 32.6 / 28.7 ms at K = 56 and 36.3 / 28.7 ms at K = 64.
+    /// The dense scan grows with K while the O(1) alias proposals stay
+    /// flat.
     pub fn resolve(self, k: usize) -> SamplerChoice {
         match self {
-            SamplerChoice::Auto => {
-                if k <= 16 {
-                    SamplerChoice::Dense
-                } else if k <= 64 {
-                    SamplerChoice::Bucket
-                } else {
-                    SamplerChoice::AliasMh
-                }
-            }
+            SamplerChoice::Auto if k <= DENSE_MAX_TOPICS => SamplerChoice::Dense,
+            SamplerChoice::Auto => SamplerChoice::AliasMh,
             other => other,
         }
     }
@@ -60,7 +57,6 @@ impl SamplerChoice {
         match self {
             SamplerChoice::Auto => "auto",
             SamplerChoice::Dense => "dense",
-            SamplerChoice::Bucket => "bucket",
             SamplerChoice::AliasMh => "alias",
         }
     }
@@ -73,11 +69,8 @@ impl std::str::FromStr for SamplerChoice {
         match s {
             "auto" => Ok(SamplerChoice::Auto),
             "dense" => Ok(SamplerChoice::Dense),
-            "bucket" => Ok(SamplerChoice::Bucket),
             "alias" | "alias-mh" => Ok(SamplerChoice::AliasMh),
-            other => Err(format!(
-                "unknown sampler {other:?} (use auto|dense|bucket|alias)"
-            )),
+            other => Err(format!("unknown sampler {other:?} (use auto|dense|alias)")),
         }
     }
 }
@@ -386,6 +379,20 @@ mod tests {
         // Two sharply separated topics over 4 words.
         let phi = Matrix::from_rows(&[&[0.45, 0.45, 0.05, 0.05], &[0.05, 0.05, 0.45, 0.45]]);
         LdaModel::new(phi, 0.1, 0.01)
+    }
+
+    #[test]
+    fn auto_resolves_dense_up_to_the_cutoff_and_alias_above() {
+        let auto = |k| SamplerChoice::Auto.resolve(k);
+        for k in [1, 3, 16, 48] {
+            assert_eq!(auto(k), SamplerChoice::Dense, "K = {k}");
+        }
+        for k in [49, 128] {
+            assert_eq!(auto(k), SamplerChoice::AliasMh, "K = {k}");
+        }
+        // A fixed choice is never overridden.
+        assert_eq!(SamplerChoice::Dense.resolve(128), SamplerChoice::Dense);
+        assert_eq!(SamplerChoice::AliasMh.resolve(3), SamplerChoice::AliasMh);
     }
 
     #[test]

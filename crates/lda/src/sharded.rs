@@ -779,8 +779,8 @@ mod tests {
 
     #[test]
     fn sharded_sparse_sampler_and_weighted_tokens_match_in_memory() {
-        // k > 16 exercises the SparseLDA bucket path; fractional weights
-        // exercise the residue clamps.
+        // k = 24 widens the dense kernel's tables past the paper's K;
+        // fractional weights leave tiny count residues in them.
         let mut rng = StdRng::seed_from_u64(91);
         let docs: Vec<WeightedDoc> = (0..150)
             .map(|_| {

@@ -273,6 +273,20 @@ impl CheckpointStore {
     /// `None` if the store holds nothing usable. Corrupt or truncated files
     /// are skipped, which is what makes resume robust to a torn final write.
     pub fn latest_good(&self, kind: &str) -> Result<Option<Checkpoint>, ResilienceError> {
+        self.newest(|ckpt| ckpt.kind == kind)
+    }
+
+    /// Newest checkpoint of any kind that decodes and validates cleanly —
+    /// what a resume that finds nothing of its own kind reports instead of
+    /// silently starting over.
+    pub fn latest_any(&self) -> Result<Option<Checkpoint>, ResilienceError> {
+        self.newest(|_| true)
+    }
+
+    fn newest(
+        &self,
+        wanted: impl Fn(&Checkpoint) -> bool,
+    ) -> Result<Option<Checkpoint>, ResilienceError> {
         let mut iters: Vec<u64> = self
             .io
             .list()?
@@ -286,7 +300,7 @@ impl CheckpointStore {
                 Err(_) => continue,
             };
             match Checkpoint::decode(&bytes) {
-                Ok(ckpt) if ckpt.kind == kind => return Ok(Some(ckpt)),
+                Ok(ckpt) if wanted(&ckpt) => return Ok(Some(ckpt)),
                 _ => continue,
             }
         }
