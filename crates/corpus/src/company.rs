@@ -127,6 +127,29 @@ impl Company {
         }
     }
 
+    /// Installs an already-merged install base in one move — what replaying
+    /// every event through [`Company::add_event`] yields when no product
+    /// repeats: the events sorted by `(first_seen, product)`. Returns
+    /// `false`, leaving the company unchanged, if a product repeats.
+    pub(crate) fn set_events(&mut self, mut events: Vec<InstallEvent>) -> bool {
+        // Quadratic like `add_event`'s own product scan; install bases are
+        // a few dozen events at most.
+        let repeats = events
+            .iter()
+            .enumerate()
+            .any(|(i, e)| events[..i].iter().any(|f| f.product == e.product));
+        if repeats {
+            return false;
+        }
+        // Products are distinct, so the keys are too and an unstable sort
+        // gives the one order `add_event` builds.
+        if !events.is_sorted_by_key(|e| (e.first_seen, e.product)) {
+            events.sort_unstable_by_key(|e| (e.first_seen, e.product));
+        }
+        self.events = events;
+        true
+    }
+
     /// Sorted position for `ev` under the `(first_seen, product)` order.
     fn insertion_point(&self, ev: &InstallEvent) -> usize {
         self.events
@@ -342,6 +365,38 @@ mod tests {
                 c.add_event(ev);
                 add_event_sort_everything(&mut reference, ev);
                 prop_assert_eq!(c.events(), reference.as_slice());
+            }
+        }
+
+        // Installing events in one move leaves exactly what replaying them
+        // through `add_event` leaves, in any order, and refuses a repeated
+        // product without touching the company.
+        #[test]
+        fn set_events_matches_add_event_replay(
+            raw in prop::collection::vec((0u16..12, 0i32..240, 0u32..36, 0u32..=10), 0..20)
+        ) {
+            let events: Vec<InstallEvent> = raw
+                .iter()
+                .map(|&(p, start, span, conf)| InstallEvent {
+                    product: ProductId(p),
+                    first_seen: Month(start),
+                    last_seen: Month(start + span as i32),
+                    confidence: conf as f32 / 10.0,
+                })
+                .collect();
+            let mut replayed = Company::new(1, "A", Sic2(1), 0);
+            for &ev in &events {
+                replayed.add_event(ev);
+            }
+            let mut installed = Company::new(1, "A", Sic2(1), 0);
+            installed.add_event(InstallEvent::at(ProductId(30), Month(0)));
+            let before = installed.clone();
+            let distinct = replayed.product_count() == events.len();
+            prop_assert_eq!(installed.set_events(events), distinct);
+            if distinct {
+                prop_assert_eq!(installed.events(), replayed.events());
+            } else {
+                prop_assert_eq!(installed, before);
             }
         }
     }

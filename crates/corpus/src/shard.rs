@@ -40,6 +40,9 @@ pub const MANIFEST_VERSION: u32 = 1;
 /// Magic bytes opening every shard file.
 const SHARD_MAGIC: &[u8; 8] = b"HLMSHRD1";
 
+/// Bytes of one stored install event (see [`encode_shard`]).
+const EVENT_BYTES: usize = 14;
+
 /// An error reading or writing a shard store: an I/O failure or a corrupt /
 /// inconsistent on-disk artifact.
 #[derive(Debug)]
@@ -70,8 +73,9 @@ impl std::error::Error for ShardError {}
 /// Contract: shards partition `0..n_companies()` into contiguous, ascending
 /// ranges; `shard(s)` returns exactly the companies of `shard_span(s)`, in
 /// global order. Every span except the last must be a multiple of
-/// [`SHARD_ALIGN`] long.
-pub trait CorpusSource {
+/// [`SHARD_ALIGN`] long. Sources are `Sync`: out-of-core training reads the
+/// next shard on a second thread while the current one samples.
+pub trait CorpusSource: Sync {
     /// The global vocabulary.
     fn vocab(&self) -> &Vocabulary;
     /// Total number of companies across all shards.
@@ -87,6 +91,19 @@ pub trait CorpusSource {
     /// Streaming sources panic on I/O failure or checksum mismatch; use
     /// [`ShardStore::read_shard`] for recoverable access.
     fn shard(&self, s: usize) -> Cow<'_, [Company]>;
+    /// Calls `f` on each company of shard `s`, in global order: the
+    /// companies of [`CorpusSource::shard`], which a streaming source need
+    /// not hold decoded all at once.
+    ///
+    /// # Panics
+    /// As [`CorpusSource::shard`].
+    fn for_each_company(&self, s: usize, f: &mut dyn FnMut(&Company)) {
+        self.shard(s).iter().for_each(f);
+    }
+    /// Install-base tokens of shard `s`, if known without reading it.
+    fn shard_tokens(&self, _s: usize) -> Option<usize> {
+        None
+    }
     /// Total install-base tokens across all shards.
     fn total_tokens(&self) -> usize;
 }
@@ -416,6 +433,16 @@ impl ShardStore {
     /// Reads and decodes shard `s`, verifying size, checksum and header
     /// against the manifest.
     pub fn read_shard(&self, s: usize) -> Result<Vec<Company>, ShardError> {
+        let (lo, hi) = self.shard_span(s);
+        let mut companies = Vec::with_capacity(hi - lo);
+        self.stream_shard(s, &mut |c| companies.push(c))?;
+        Ok(companies)
+    }
+
+    /// Reads shard `s` and verifies its size and checksum, then decodes it
+    /// one company at a time into `f` and checks its header against the
+    /// manifest.
+    fn stream_shard(&self, s: usize, f: &mut dyn FnMut(Company)) -> Result<(), ShardError> {
         let entry = &self.manifest.shards[s];
         let path = self.dir.join(&entry.file);
         let bytes =
@@ -426,14 +453,14 @@ impl ShardStore {
                 path.display()
             )));
         }
-        let (lo, hi, companies) = decode_shard(&bytes)
+        let (lo, hi) = decode_shard(&bytes, f)
             .map_err(|msg| ShardError::new(format!("shard {s} ({}): {msg}", path.display())))?;
         if (lo, hi) != (entry.company_lo as usize, entry.company_hi as usize) {
             return Err(ShardError::new(format!(
                 "shard {s} header span [{lo}, {hi}) disagrees with manifest"
             )));
         }
-        Ok(companies)
+        Ok(())
     }
 
     /// Sequential reader over all shards in company order.
@@ -468,6 +495,17 @@ impl CorpusSource for ShardStore {
             self.read_shard(s)
                 .unwrap_or_else(|e| panic!("unreadable shard while streaming: {e}")),
         )
+    }
+
+    /// Decodes one company at a time from the verified shard bytes, so the
+    /// shard is never held decoded whole.
+    fn for_each_company(&self, s: usize, f: &mut dyn FnMut(&Company)) {
+        self.stream_shard(s, &mut |c| f(&c))
+            .unwrap_or_else(|e| panic!("unreadable shard while streaming: {e}"));
+    }
+
+    fn shard_tokens(&self, s: usize) -> Option<usize> {
+        Some(self.manifest.shards[s].tokens as usize)
     }
 
     fn total_tokens(&self) -> usize {
@@ -535,7 +573,9 @@ fn encode_shard(lo: usize, hi: usize, companies: &[Company]) -> Vec<u8> {
     out
 }
 
-fn decode_shard(bytes: &[u8]) -> Result<(usize, usize, Vec<Company>), String> {
+/// Decodes a shard file written by [`encode_shard`], handing each company
+/// to `f` in order, and returns the header's company span.
+fn decode_shard(bytes: &[u8], f: &mut dyn FnMut(Company)) -> Result<(usize, usize), String> {
     let mut cur = Cursor { bytes, pos: 0 };
     if cur.take(8)? != SHARD_MAGIC {
         return Err("bad magic".to_string());
@@ -546,7 +586,6 @@ fn decode_shard(bytes: &[u8]) -> Result<(usize, usize, Vec<Company>), String> {
     if hi <= lo {
         return Err(format!("bad span [{lo}, {hi})"));
     }
-    let mut companies = Vec::with_capacity(hi - lo);
     let mut seen_tokens = 0u64;
     for _ in lo..hi {
         let duns = cur.u64()?;
@@ -562,25 +601,23 @@ fn decode_shard(bytes: &[u8]) -> Result<(usize, usize, Vec<Company>), String> {
         c.revenue_musd = f64::from_bits(cur.u64()?);
         let n_events = cur.u32()? as usize;
         // Stored events are the already-merged install base — one event per
-        // product, sorted by `(first_seen, product)` — so replaying them
-        // through `add_event` reconstructs the company exactly.
+        // product, sorted by `(first_seen, product)` — so they install in
+        // one move. The capacity is capped by the bytes left, so a bad count
+        // cannot reserve more than the file holds.
+        let mut events = Vec::with_capacity(n_events.min(cur.remaining() / EVENT_BYTES));
         for _ in 0..n_events {
-            let product = ProductId(cur.u16()?);
-            let first_seen = Month(cur.i32()?);
-            let last_seen = Month(cur.i32()?);
-            let confidence = f32::from_bits(cur.u32()?);
-            c.add_event(InstallEvent {
-                product,
-                first_seen,
-                last_seen,
-                confidence,
+            events.push(InstallEvent {
+                product: ProductId(cur.u16()?),
+                first_seen: Month(cur.i32()?),
+                last_seen: Month(cur.i32()?),
+                confidence: f32::from_bits(cur.u32()?),
             });
         }
-        if c.product_count() != n_events {
+        if !c.set_events(events) {
             return Err("duplicate product within a stored company".to_string());
         }
         seen_tokens += n_events as u64;
-        companies.push(c);
+        f(c);
     }
     if cur.pos != bytes.len() {
         return Err("trailing bytes after last company".to_string());
@@ -588,7 +625,7 @@ fn decode_shard(bytes: &[u8]) -> Result<(usize, usize, Vec<Company>), String> {
     if seen_tokens != tokens {
         return Err("header token count disagrees with body".to_string());
     }
-    Ok((lo, hi, companies))
+    Ok((lo, hi))
 }
 
 struct Cursor<'a> {
@@ -597,6 +634,10 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
         let end = self
             .pos
@@ -730,6 +771,64 @@ mod tests {
         let err = store.read_shard(0).unwrap_err();
         assert!(err.to_string().contains("checksum"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A one-shard store of `company` whose two stored events went through
+    /// `tamper` (given the file bytes and the offset of the first event),
+    /// re-sealed so that only the decoder can object.
+    fn store_with_tampered_events(tag: &str, tamper: impl FnOnce(&mut [u8], usize)) -> ShardStore {
+        let mut company = Company::new(10_000, "acme", Sic2(7), 1);
+        company.add_event(InstallEvent::at(ProductId(5), Month::from_ym(2001, 3)));
+        company.add_event(InstallEvent::at(ProductId(9), Month::from_ym(2004, 8)));
+        let corpus = Corpus::new(Vocabulary::standard(), vec![company]);
+        let dir = tmp_dir(tag);
+        let store = write_corpus_sharded(&corpus, &dir, 1).unwrap();
+        let path = dir.join(&store.manifest().shards[0].file);
+        let mut bytes = std::fs::read(&path).unwrap();
+        // Header, then duns, name length, name, industry, country, sites,
+        // employees, revenue and the event count.
+        tamper(
+            &mut bytes,
+            32 + 8 + 4 + "acme".len() + 1 + 2 + 4 + 4 + 8 + 4,
+        );
+        std::fs::write(&path, &bytes).unwrap();
+        let mut manifest = store.manifest().clone();
+        manifest.shards[0].checksum = fnv1a(&bytes);
+        let text = serde_json::to_string(&manifest).unwrap();
+        std::fs::write(dir.join(MANIFEST_FILE), text).unwrap();
+        ShardStore::open(&dir).unwrap()
+    }
+
+    #[test]
+    fn duplicate_product_within_a_stored_company_is_rejected() {
+        let store = store_with_tampered_events("dup_product", |bytes, at| {
+            // The second event names the first event's product.
+            bytes.copy_within(at..at + 2, at + EVENT_BYTES);
+        });
+        let err = store.read_shard(0).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("duplicate product within a stored company"),
+            "{err}"
+        );
+        std::fs::remove_dir_all(store.dir()).unwrap();
+    }
+
+    #[test]
+    fn out_of_order_stored_events_decode_sorted_as_add_event_sorts_them() {
+        let store = store_with_tampered_events("out_of_order", |bytes, at| {
+            let (first, second) = bytes[at..at + 2 * EVENT_BYTES].split_at_mut(EVENT_BYTES);
+            first.swap_with_slice(second);
+        });
+        let decoded = store.read_shard(0).unwrap();
+        // Replaying the events in their stored (swapped) order through
+        // `add_event` is the reference.
+        let mut replayed = Company::new(10_000, "acme", Sic2(7), 1);
+        replayed.add_event(InstallEvent::at(ProductId(9), Month::from_ym(2004, 8)));
+        replayed.add_event(InstallEvent::at(ProductId(5), Month::from_ym(2001, 3)));
+        assert_eq!(decoded[0].events(), replayed.events());
+        assert_eq!(decoded[0].product_sequence(), [ProductId(5), ProductId(9)]);
+        std::fs::remove_dir_all(store.dir()).unwrap();
     }
 
     #[test]

@@ -38,7 +38,7 @@ use hlm_eval::drift::DriftReport;
 use hlm_eval::{Recommender, RecommenderFactory};
 use hlm_lda::{
     DocShardSource, GibbsTrainer, LdaConfig, LdaModel, OnlineVbOptions, OnlineVbTrainer, VbOptions,
-    VbTrainer, WeightedDoc,
+    VbTrainer, WeightedDoc, WeightedTokens,
 };
 use hlm_linalg::Matrix;
 use hlm_lstm::{LstmConfig, LstmLm, TrainOptions, Trainer};
@@ -897,16 +897,26 @@ impl<S: CorpusSource + ?Sized> DocShardSource for CorpusDocShards<'_, S> {
     }
 
     fn shard_docs(&self, s: usize) -> Cow<'_, [WeightedDoc]> {
-        self.source
-            .shard(s)
-            .iter()
-            .map(|c| {
-                c.product_set()
-                    .into_iter()
-                    .map(|p| (p.index(), 1.0))
-                    .collect()
-            })
-            .collect()
+        let (lo, hi) = self.source.shard_span(s);
+        let mut docs = Vec::with_capacity(hi - lo);
+        self.for_each_doc(s, &mut |doc| docs.push(doc.to_vec()));
+        Cow::Owned(docs)
+    }
+
+    fn shard_tokens(&self, s: usize) -> Option<usize> {
+        self.source.shard_tokens(s)
+    }
+
+    /// Streams the companies, building each document in one reused buffer.
+    fn for_each_doc(&self, s: usize, f: &mut dyn FnMut(&WeightedTokens)) {
+        let mut doc = Vec::new();
+        self.source.for_each_company(s, &mut |c| {
+            // `product_set` order: ids ascending, each once.
+            doc.clear();
+            doc.extend(c.events().iter().map(|e| (e.product.index(), 1.0)));
+            doc.sort_unstable_by_key(|&(w, _)| w);
+            f(&doc);
+        });
     }
 }
 

@@ -20,7 +20,7 @@
 //! [`crate::sharded`] for why every layout gives the same model.
 
 use crate::model::{LdaConfig, LdaModel, SamplerChoice};
-use crate::sharded::{split_states, DocShardSource, ShardState, ShardStore};
+use crate::sharded::{split_states, DocShardSource, Prefetch, ShardState, ShardStore, ShardTokens};
 use hlm_linalg::dist::AliasTableSet;
 use hlm_linalg::{Matrix, SparseDelta};
 use hlm_par::{Budget, Pool};
@@ -763,7 +763,7 @@ impl GibbsTrainer {
                 (st, shards)
             }
             None => {
-                let mut st = SweepState {
+                let st = SweepState {
                     step: 0,
                     n_shards: n_shards as u64,
                     n_docs: source.n_docs() as u64,
@@ -778,10 +778,7 @@ impl GibbsTrainer {
                     phi_acc: Matrix::zeros(k, m),
                     n_samples: 0,
                 };
-                let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-                let shards =
-                    ShardStore::init(source, k, m, spill_dir, &mut rng, &mut st.n_kw, &mut st.n_k)?;
-                (st, shards)
+                (st, ShardStore::fresh(source, k, m, spill_dir)?)
             }
         };
 
@@ -810,169 +807,188 @@ impl GibbsTrainer {
         let mut last_ckpt = resume.map(|_| start_step);
         let mut saves_seen = ctrl.saves();
 
-        for step in start_step..total_steps {
-            ctrl.begin_iteration(step)?;
-            let sweep = step / n_shards as u64;
-            let s = (step % n_shards as u64) as usize;
-            if s == 0 {
-                // Sweep start: the accumulator begins at the snapshot.
-                st.acc_kw.copy_from(&st.n_kw);
-                st.acc_k.copy_from_slice(&st.n_k);
-                st.minka_num = 0.0;
-                st.minka_den = 0.0;
+        // Out of core, a second thread reads each shard's documents into
+        // token arrays and reads and verifies its spill one step ahead of
+        // the sampling (see `ShardStore::prefetch`); the scope ends the
+        // thread on every exit, an early error or a panic included.
+        std::thread::scope(|scope| -> Result<(), ResilienceError> {
+            let prefetch = shards.prefetch(scope, resume.is_none(), start_step..total_steps);
+            if resume.is_none() {
+                let mut rng = StdRng::seed_from_u64(self.cfg.seed);
+                shards.draw_initial(prefetch.as_ref(), &mut rng, &mut st.n_kw, &mut st.n_k)?;
             }
-            if s == 0 || step == start_step {
-                sweep_t0 = rec.is_enabled().then(std::time::Instant::now);
-                rec.add(sampler_counter(kind), 1);
-                sweep_mh_proposed = 0;
-                sweep_mh_accepted = 0;
-                if let Some(tables) = alias_tables.as_mut() {
-                    tables.rebuild(&st.n_kw, &st.n_k, beta, beta_sum);
+            for step in start_step..total_steps {
+                ctrl.begin_iteration(step)?;
+                let sweep = step / n_shards as u64;
+                let s = (step % n_shards as u64) as usize;
+                if s == 0 {
+                    // Sweep start: the accumulator begins at the snapshot.
+                    st.acc_kw.copy_from(&st.n_kw);
+                    st.acc_k.copy_from_slice(&st.n_k);
+                    st.minka_num = 0.0;
+                    st.minka_den = 0.0;
                 }
-            }
-            let shard_t0 = rec.is_enabled().then(std::time::Instant::now);
+                if s == 0 || step == start_step {
+                    sweep_t0 = rec.is_enabled().then(std::time::Instant::now);
+                    rec.add(sampler_counter(kind), 1);
+                    sweep_mh_proposed = 0;
+                    sweep_mh_accepted = 0;
+                    if let Some(tables) = alias_tables.as_mut() {
+                        tables.rebuild(&st.n_kw, &st.n_k, beta, beta_sum);
+                    }
+                }
+                // A spilled shard's input was built while the step before
+                // sampled; the wait for it is timed apart from the step.
+                let next = prefetch.as_ref().map(Prefetch::next).transpose()?;
+                let shard_t0 = rec.is_enabled().then(std::time::Instant::now);
 
-            // Shard-sliced sweep: every chunk samples its documents against
-            // the sweep-start snapshot (its own n_dk rows and assignments
-            // are mutated in place — they are disjoint between chunks), on
-            // an RNG stream keyed by (seed, sweep, global chunk); chunk_base
-            // lifts the shard's local chunk ids to global ones.
-            let chunk_base = source.shard_span(s).0 / DOC_CHUNK;
-            let ShardState {
-                tok_doc,
-                tok_word,
-                tok_weight,
-                doc_start,
-                tok_z,
-                n_dk,
-            } = shards.visit(s, sweep)?;
-            let n_docs = doc_start.len() - 1;
-            let budget = sweep_budget(tok_z.len(), k, kind);
-            let delta = &mut delta_buf[..hlm_par::chunk_count(n_docs, DOC_CHUNK) * stride];
-            let ctx = SweepCtx {
-                tok_doc,
-                tok_word,
-                tok_weight,
-                n_kw: &st.n_kw,
-                n_k: &st.n_k,
-                k,
-                m,
-                alpha: st.alpha,
-                beta,
-                beta_sum,
-                seed: self.cfg.seed,
-                sweep,
-                chunk_base,
-                kind,
-                alias: alias_tables.as_ref(),
-            };
-            let mut views = build_views(tok_z, n_dk, delta, doc_start, n_docs, k, stride);
-            hlm_par::par_for_each_scratch(
-                &pool,
-                budget,
-                &mut views,
-                || SweepScratch::new(k, m, kind),
-                |scratch, c, view| sweep_chunk(scratch, &ctx, c, view),
-            );
-            for view in &views {
-                sweep_mh_proposed += view.mh_proposed;
-                sweep_mh_accepted += view.mh_accepted;
-            }
-            drop(views);
-            // Deterministic merge of the topic-word/topic-total deltas in
-            // global chunk order.
-            for chunk_delta in delta.chunks_exact(stride) {
-                merge_chunk_delta(
-                    kind,
-                    chunk_delta,
-                    st.acc_kw.as_mut_slice(),
-                    &mut st.acc_k,
+                // Shard-sliced sweep: every chunk samples its documents against
+                // the sweep-start snapshot (its own n_dk rows and assignments
+                // are mutated in place — they are disjoint between chunks), on
+                // an RNG stream keyed by (seed, sweep, global chunk); chunk_base
+                // lifts the shard's local chunk ids to global ones.
+                let chunk_base = source.shard_span(s).0 / DOC_CHUNK;
+                let ShardState {
+                    tokens:
+                        ShardTokens {
+                            tok_doc,
+                            tok_word,
+                            tok_weight,
+                            doc_start,
+                        },
+                    tok_z,
+                    n_dk,
+                } = shards.visit(s, sweep, next)?;
+                let n_docs = doc_start.len() - 1;
+                let budget = sweep_budget(tok_z.len(), k, kind);
+                let delta = &mut delta_buf[..hlm_par::chunk_count(n_docs, DOC_CHUNK) * stride];
+                let ctx = SweepCtx {
+                    tok_doc,
+                    tok_word,
+                    tok_weight,
+                    n_kw: &st.n_kw,
+                    n_k: &st.n_k,
                     k,
                     m,
+                    alpha: st.alpha,
+                    beta,
+                    beta_sum,
+                    seed: self.cfg.seed,
+                    sweep,
+                    chunk_base,
+                    kind,
+                    alias: alias_tables.as_ref(),
+                };
+                let mut views = build_views(tok_z, n_dk, delta, doc_start, n_docs, k, stride);
+                hlm_par::par_for_each_scratch(
+                    &pool,
+                    budget,
+                    &mut views,
+                    || SweepScratch::new(k, m, kind),
+                    |scratch, c, view| sweep_chunk(scratch, &ctx, c, view),
                 );
-            }
-
-            // Minka's fixed-point re-estimation of the symmetric alpha,
-            // applied during burn-in so the collected phi samples use the
-            // final value. The shard's doc-topic rows are final for this
-            // sweep, so the sums accumulate shard by shard in global
-            // document order.
-            let alpha_sweep =
-                self.cfg.optimize_alpha && (sweep as usize) < self.cfg.burn_in && sweep % 10 == 9;
-            if alpha_sweep {
-                minka_alpha_accumulate(
-                    st.alpha,
-                    k,
-                    n_dk.chunks_exact(k),
-                    &mut st.minka_num,
-                    &mut st.minka_den,
-                );
-            }
-            shards.leave(s, sweep + 1)?;
-            if let Some(t0) = shard_t0 {
-                rec.observe("lda.gibbs.shard_seconds", t0.elapsed().as_secs_f64());
-            }
-
-            if s == n_shards - 1 {
-                // Sweep end: publish the merged tables.
-                st.n_kw.copy_from(&st.acc_kw);
-                st.n_k.copy_from_slice(&st.acc_k);
-                if alpha_sweep {
-                    st.alpha = minka_alpha_finish(st.alpha, k, st.minka_num, st.minka_den);
+                for view in &views {
+                    sweep_mh_proposed += view.mh_proposed;
+                    sweep_mh_accepted += view.mh_accepted;
                 }
-                let iter = sweep as usize;
-                let past_burn_in = iter >= self.cfg.burn_in;
-                let on_lag =
-                    (iter - self.cfg.burn_in.min(iter)).is_multiple_of(self.cfg.sample_lag);
-                if past_burn_in && on_lag {
-                    for (t, &nk) in st.n_k.iter().enumerate() {
-                        let phi_row = &mut st.phi_acc.as_mut_slice()[t * m..(t + 1) * m];
-                        accumulate_phi_row(phi_row, st.n_kw.row(t), nk, beta, beta_sum);
-                    }
-                    st.n_samples += 1;
-                }
-                // Observability: read-only — nothing below branches on these
-                // values, so enabling the recorder cannot change the chain.
-                if kind == SamplerChoice::AliasMh {
-                    rec.add("lda.mh.proposed", sweep_mh_proposed);
-                    rec.add("lda.mh.accepted", sweep_mh_accepted);
-                    if rec.is_enabled() && sweep_mh_proposed > 0 {
-                        rec.trace(
-                            "lda.mh.acceptance_rate",
-                            sweep,
-                            sweep_mh_accepted as f64 / sweep_mh_proposed as f64,
-                        );
-                    }
-                }
-                if let Some(t0) = sweep_t0 {
-                    rec.observe("lda.gibbs.sweep_seconds", t0.elapsed().as_secs_f64());
-                    rec.add("lda.gibbs.sweeps", 1);
-                    rec.trace(
-                        "lda.gibbs.log_likelihood",
-                        sweep,
-                        gibbs_log_likelihood(&st.n_kw, &st.n_k, beta),
+                drop(views);
+                // Deterministic merge of the topic-word/topic-total deltas in
+                // global chunk order.
+                for chunk_delta in delta.chunks_exact(stride) {
+                    merge_chunk_delta(
+                        kind,
+                        chunk_delta,
+                        st.acc_kw.as_mut_slice(),
+                        &mut st.acc_k,
+                        k,
+                        m,
                     );
                 }
-                // Total topic mass is conserved by a correct sweep; a NaN
-                // weight or injected fault shows up here and aborts before
-                // the broken state can be checkpointed.
-                ctrl.check_metric(sweep, "topic mass", st.n_k.iter().sum())?;
-            }
 
-            st.step = step + 1;
-            ctrl.checkpoint(step + 1, || {
-                let mut payload = serde_json::to_string(&st)
-                    .expect("gibbs state serializes")
-                    .into_bytes();
-                shards.append_states(step + 1, &mut payload);
-                payload
-            });
-            if ctrl.saves() > saves_seen {
-                saves_seen = ctrl.saves();
-                last_ckpt = Some(step + 1);
+                // Minka's fixed-point re-estimation of the symmetric alpha,
+                // applied during burn-in so the collected phi samples use the
+                // final value. The shard's doc-topic rows are final for this
+                // sweep, so the sums accumulate shard by shard in global
+                // document order.
+                let alpha_sweep = self.cfg.optimize_alpha
+                    && (sweep as usize) < self.cfg.burn_in
+                    && sweep % 10 == 9;
+                if alpha_sweep {
+                    minka_alpha_accumulate(
+                        st.alpha,
+                        k,
+                        n_dk.chunks_exact(k),
+                        &mut st.minka_num,
+                        &mut st.minka_den,
+                    );
+                }
+                shards.leave(s, sweep + 1)?;
+                if let Some(t0) = shard_t0 {
+                    rec.observe("lda.gibbs.shard_seconds", t0.elapsed().as_secs_f64());
+                }
+
+                if s == n_shards - 1 {
+                    // Sweep end: publish the merged tables.
+                    st.n_kw.copy_from(&st.acc_kw);
+                    st.n_k.copy_from_slice(&st.acc_k);
+                    if alpha_sweep {
+                        st.alpha = minka_alpha_finish(st.alpha, k, st.minka_num, st.minka_den);
+                    }
+                    let iter = sweep as usize;
+                    let past_burn_in = iter >= self.cfg.burn_in;
+                    let on_lag =
+                        (iter - self.cfg.burn_in.min(iter)).is_multiple_of(self.cfg.sample_lag);
+                    if past_burn_in && on_lag {
+                        for (t, &nk) in st.n_k.iter().enumerate() {
+                            let phi_row = &mut st.phi_acc.as_mut_slice()[t * m..(t + 1) * m];
+                            accumulate_phi_row(phi_row, st.n_kw.row(t), nk, beta, beta_sum);
+                        }
+                        st.n_samples += 1;
+                    }
+                    // Observability: read-only — nothing below branches on these
+                    // values, so enabling the recorder cannot change the chain.
+                    if kind == SamplerChoice::AliasMh {
+                        rec.add("lda.mh.proposed", sweep_mh_proposed);
+                        rec.add("lda.mh.accepted", sweep_mh_accepted);
+                        if rec.is_enabled() && sweep_mh_proposed > 0 {
+                            rec.trace(
+                                "lda.mh.acceptance_rate",
+                                sweep,
+                                sweep_mh_accepted as f64 / sweep_mh_proposed as f64,
+                            );
+                        }
+                    }
+                    if let Some(t0) = sweep_t0 {
+                        rec.observe("lda.gibbs.sweep_seconds", t0.elapsed().as_secs_f64());
+                        rec.add("lda.gibbs.sweeps", 1);
+                        rec.trace(
+                            "lda.gibbs.log_likelihood",
+                            sweep,
+                            gibbs_log_likelihood(&st.n_kw, &st.n_k, beta),
+                        );
+                    }
+                    // Total topic mass is conserved by a correct sweep; a NaN
+                    // weight or injected fault shows up here and aborts before
+                    // the broken state can be checkpointed.
+                    ctrl.check_metric(sweep, "topic mass", st.n_k.iter().sum())?;
+                }
+
+                st.step = step + 1;
+                ctrl.checkpoint(step + 1, || {
+                    let mut payload = serde_json::to_string(&st)
+                        .expect("gibbs state serializes")
+                        .into_bytes();
+                    shards.append_states(step + 1, &mut payload);
+                    payload
+                });
+                if ctrl.saves() > saves_seen {
+                    saves_seen = ctrl.saves();
+                    last_ckpt = Some(step + 1);
+                }
+                shards.prune(s, sweep, last_ckpt);
             }
-            shards.prune(s, sweep, last_ckpt);
-        }
+            Ok(())
+        })?;
 
         assert!(
             st.n_samples > 0,

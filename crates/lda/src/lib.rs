@@ -51,6 +51,10 @@ pub use vb::{VbOptions, VbTrainer, VB_CHECKPOINT_KIND};
 /// weight 1.0 per owned product; TF-IDF input uses the IDF weight.
 pub type WeightedDoc = Vec<(usize, f64)>;
 
+/// A document's `(word index, weight)` pairs, borrowed: what
+/// [`DocShardSource::for_each_doc`] hands over.
+pub type WeightedTokens = [(usize, f64)];
+
 /// Converts plain word-index documents into unit-weight [`WeightedDoc`]s.
 pub fn unit_weights(docs: &[Vec<usize>]) -> Vec<WeightedDoc> {
     docs.iter()

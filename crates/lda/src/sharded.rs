@@ -32,14 +32,18 @@
 //! from a checkpoint that holds only the small global tables.
 
 use crate::gibbs::DOC_CHUNK;
-use crate::WeightedDoc;
+use crate::{WeightedDoc, WeightedTokens};
 use hlm_corpus::shard::fnv1a;
 use hlm_linalg::Matrix;
 use hlm_resilience::ResilienceError;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::borrow::Cow;
+use std::ops::Range;
+use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{Receiver, SyncSender};
+use std::thread::Scope;
 
 /// A corpus of weighted documents arriving in ordered shards.
 ///
@@ -47,8 +51,9 @@ use std::path::{Path, PathBuf};
 /// and every span except the last is a multiple of the Gibbs document chunk
 /// (64; [`hlm_corpus::shard::SHARD_ALIGN`] keeps on-disk stores aligned).
 /// `shard_docs(s)` must return the same documents every time it is called —
-/// out-of-core training re-reads each shard once per pass.
-pub trait DocShardSource {
+/// out-of-core training re-reads each shard once per pass, on a second
+/// thread one shard step ahead of the sampling, hence `Sync`.
+pub trait DocShardSource: Sync {
     /// Total number of documents.
     fn n_docs(&self) -> usize;
     /// Number of shards.
@@ -58,6 +63,17 @@ pub trait DocShardSource {
     /// The documents of shard `s`, in global order — borrowed when the
     /// source already holds them in memory.
     fn shard_docs(&self, s: usize) -> Cow<'_, [WeightedDoc]>;
+    /// Calls `f` on each document of shard `s`, in global order: the
+    /// documents of [`DocShardSource::shard_docs`], which a streaming source
+    /// need not hold all at once.
+    fn for_each_doc(&self, s: usize, f: &mut dyn FnMut(&WeightedTokens)) {
+        self.shard_docs(s).iter().for_each(|doc| f(doc));
+    }
+    /// Tokens of shard `s`, if known without reading it: lets out-of-core
+    /// training size its buffers once for the largest shard.
+    fn shard_tokens(&self, _s: usize) -> Option<usize> {
+        None
+    }
 }
 
 /// A plain document slice is a single shard.
@@ -156,16 +172,84 @@ const SPILL_HEADER: usize = 40;
 /// Bytes of one stored doc-topic entry: `u16` topic, `u64` value bits.
 const SPILL_ENTRY: usize = 10;
 
-/// One shard's sampler state: flat token arrays built from its documents
-/// (documents are contiguous; `tok_doc` holds shard-local indices), the
-/// token assignments and the dense doc-topic rows.
+/// A shard's flat token arrays, built from its documents (documents are
+/// contiguous; `tok_doc` holds shard-local indices).
 #[derive(Default)]
-pub(crate) struct ShardState {
+pub(crate) struct ShardTokens {
     pub(crate) tok_doc: Vec<u32>,
     pub(crate) tok_word: Vec<u32>,
     pub(crate) tok_weight: Vec<f64>,
     /// Token range of each document: `doc_start[d]..doc_start[d + 1]`.
     pub(crate) doc_start: Vec<usize>,
+}
+
+impl ShardTokens {
+    /// Rebuilds the arrays from `docs`, reusing the buffers and sizing them
+    /// exactly.
+    ///
+    /// # Panics
+    /// Panics if a document references a word outside the vocabulary of
+    /// `m` or carries a weight that is not finite and positive.
+    fn load(&mut self, docs: &[WeightedDoc], m: usize) {
+        self.clear();
+        self.reserve_exact(docs.iter().map(Vec::len).sum(), docs.len());
+        for doc in docs {
+            self.push_doc(doc, m);
+        }
+    }
+
+    /// Rebuilds the arrays from shard `s` of `source` one document at a
+    /// time ([`DocShardSource::for_each_doc`]), reusing the buffers.
+    ///
+    /// # Panics
+    /// As [`ShardTokens::load`].
+    fn load_streamed<S: DocShardSource + ?Sized>(&mut self, source: &S, s: usize, m: usize) {
+        self.clear();
+        source.for_each_doc(s, &mut |doc| self.push_doc(doc, m));
+    }
+
+    /// Grows the (cleared) buffers to hold exactly `n_tokens` tokens in
+    /// `n_docs` documents.
+    fn reserve_exact(&mut self, n_tokens: usize, n_docs: usize) {
+        self.tok_doc.reserve_exact(n_tokens);
+        self.tok_word.reserve_exact(n_tokens);
+        self.tok_weight.reserve_exact(n_tokens);
+        self.doc_start.reserve_exact(n_docs + 1);
+    }
+
+    fn clear(&mut self) {
+        self.tok_doc.clear();
+        self.tok_word.clear();
+        self.tok_weight.clear();
+        self.doc_start.clear();
+        self.doc_start.push(0);
+    }
+
+    fn push_doc(&mut self, doc: &WeightedTokens, m: usize) {
+        let d = self.n_docs() as u32;
+        for &(w, weight) in doc {
+            assert!(w < m, "word {w} outside vocabulary of {m}");
+            assert!(
+                weight.is_finite() && weight > 0.0,
+                "token weight must be positive, got {weight}"
+            );
+            self.tok_doc.push(d);
+            self.tok_word.push(w as u32);
+            self.tok_weight.push(weight);
+        }
+        self.doc_start.push(self.tok_doc.len());
+    }
+
+    fn n_docs(&self) -> usize {
+        self.doc_start.len().saturating_sub(1)
+    }
+}
+
+/// One shard's sampler state: its token arrays, the token assignments and
+/// the dense doc-topic rows.
+#[derive(Default)]
+pub(crate) struct ShardState {
+    pub(crate) tokens: ShardTokens,
     pub(crate) tok_z: Vec<u16>,
     /// `n_docs × k` doc-topic counts.
     pub(crate) n_dk: Vec<f64>,
@@ -176,31 +260,9 @@ impl ShardState {
     /// zero-sizes the doc-topic block for `k` topics.
     ///
     /// # Panics
-    /// Panics if a document references a word outside the vocabulary of
-    /// `m` or carries a weight that is not finite and positive.
+    /// As [`ShardTokens::load`].
     fn load_tokens(&mut self, docs: &[WeightedDoc], k: usize, m: usize) {
-        let n_tokens = docs.iter().map(Vec::len).sum();
-        self.tok_doc.clear();
-        self.tok_doc.reserve_exact(n_tokens);
-        self.tok_word.clear();
-        self.tok_word.reserve_exact(n_tokens);
-        self.tok_weight.clear();
-        self.tok_weight.reserve_exact(n_tokens);
-        self.doc_start.clear();
-        self.doc_start.push(0);
-        for (d, doc) in docs.iter().enumerate() {
-            for &(w, weight) in doc {
-                assert!(w < m, "word {w} outside vocabulary of {m}");
-                assert!(
-                    weight.is_finite() && weight > 0.0,
-                    "token weight must be positive, got {weight}"
-                );
-                self.tok_doc.push(d as u32);
-                self.tok_word.push(w as u32);
-                self.tok_weight.push(weight);
-            }
-            self.doc_start.push(self.tok_doc.len());
-        }
+        self.tokens.load(docs, m);
         self.n_dk.clear();
         self.n_dk.resize(docs.len() * k, 0.0);
     }
@@ -208,14 +270,10 @@ impl ShardState {
     /// Draws every token's initial topic from `rng` in document order and
     /// adds the tokens to the shard's and the global count tables.
     fn draw_topics(&mut self, rng: &mut StdRng, k: usize, n_kw: &mut Matrix, n_k: &mut [f64]) {
+        let t = &self.tokens;
         self.tok_z.clear();
-        self.tok_z.reserve_exact(self.tok_word.len());
-        for ((&d, &w), &weight) in self
-            .tok_doc
-            .iter()
-            .zip(&self.tok_word)
-            .zip(&self.tok_weight)
-        {
+        self.tok_z.reserve_exact(t.tok_word.len());
+        for ((&d, &w), &weight) in t.tok_doc.iter().zip(&t.tok_word).zip(&t.tok_weight) {
             let z = rng.gen_range(0..k);
             self.tok_z.push(z as u16);
             self.n_dk[d as usize * k + z] += weight;
@@ -233,9 +291,20 @@ impl ShardState {
         version: u64,
         k: usize,
     ) -> Result<(), &'static str> {
-        let n_tokens = self.tok_word.len();
-        decode_spill(
-            bytes,
+        let body = verify_spill(bytes)?;
+        self.decode_body(body, shard, version, k)
+    }
+
+    fn decode_body(
+        &mut self,
+        body: &[u8],
+        shard: usize,
+        version: u64,
+        k: usize,
+    ) -> Result<(), &'static str> {
+        let n_tokens = self.tokens.tok_word.len();
+        decode_spill_body(
+            body,
             shard,
             version,
             n_tokens,
@@ -243,6 +312,179 @@ impl ShardState {
             &mut self.tok_z,
             &mut self.n_dk,
         )
+    }
+
+    /// Decodes a spill read and verified by [`load_spill`] into the
+    /// assignments and doc-topic rows, whose tokens must already be loaded,
+    /// and records the read: its bytes, and its seconds from the start of
+    /// the file read to the end of the decode.
+    fn install_spill(
+        &mut self,
+        spill: &VerifiedSpill,
+        shard: usize,
+        version: u64,
+        k: usize,
+    ) -> Result<(), ResilienceError> {
+        let t0 = std::time::Instant::now();
+        let body = &spill.bytes[..spill.bytes.len() - 8];
+        self.decode_body(body, shard, version, k).map_err(|what| {
+            ResilienceError::corrupt(format!("spill {}: {what}", spill.path.display()))
+        })?;
+        let rec = hlm_obs::global();
+        if rec.is_enabled() {
+            rec.add("lda.spill.bytes_read", spill.bytes.len() as u64);
+            rec.observe(
+                "lda.spill_seconds",
+                spill.read_seconds + t0.elapsed().as_secs_f64(),
+            );
+        }
+        Ok(())
+    }
+}
+
+/// What the prefetch worker builds for one item: a shard's token arrays
+/// and, when asked for, its spill read and checksum-verified.
+struct Fetched {
+    tokens: ShardTokens,
+    spill: Option<VerifiedSpill>,
+}
+
+/// What the prefetch worker hands over for one item: what it built, a
+/// typed error, or the payload of a panic to re-raise on the sampling
+/// thread.
+type Handoff = std::thread::Result<Result<Fetched, ResilienceError>>;
+
+/// The sampling thread's end of the prefetch worker. Dropping it stops the
+/// worker at its next hand-over.
+pub(crate) struct Prefetch {
+    items: Receiver<Handoff>,
+    /// Returns the worker its token buffer once an item is installed.
+    spent: SyncSender<ShardTokens>,
+}
+
+impl Prefetch {
+    /// The next step's input, blocking until the worker hands it over; the
+    /// wait is observed as `lda.gibbs.prefetch_wait_seconds`.
+    pub(crate) fn next(&self) -> Result<Prefetched<'_>, ResilienceError> {
+        let rec = hlm_obs::global();
+        let t0 = rec.is_enabled().then(std::time::Instant::now);
+        let next = self.recv();
+        if let Some(t0) = t0 {
+            rec.observe(
+                "lda.gibbs.prefetch_wait_seconds",
+                t0.elapsed().as_secs_f64(),
+            );
+        }
+        next
+    }
+
+    /// The next item, blocking until the worker hands it over. A worker
+    /// error is returned here, a worker panic re-raised here, so both
+    /// surface where the shard is needed.
+    fn recv(&self) -> Result<Prefetched<'_>, ResilienceError> {
+        let handoff = self
+            .items
+            .recv()
+            .expect("the prefetch worker hands over every item it runs ahead of");
+        let fetched = handoff.unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
+        Ok(Prefetched {
+            fetched,
+            spent: &self.spent,
+        })
+    }
+}
+
+/// One item of the prefetch worker, received and not yet installed.
+pub(crate) struct Prefetched<'p> {
+    fetched: Fetched,
+    spent: &'p SyncSender<ShardTokens>,
+}
+
+impl Prefetched<'_> {
+    /// Swaps the token arrays into `state`, handing its previous ones to the
+    /// worker to refill, and sizes the doc-topic block for `k` topics; given
+    /// a shard step `(dir, shard, version)`, decodes the step's spill into
+    /// `state` too, read now if the worker did not read it.
+    fn install(
+        self,
+        state: &mut ShardState,
+        k: usize,
+        step: Option<(&Path, usize, u64)>,
+    ) -> Result<(), ResilienceError> {
+        let Fetched { mut tokens, spill } = self.fetched;
+        std::mem::swap(&mut state.tokens, &mut tokens);
+        state.n_dk.resize(state.tokens.n_docs() * k, 0.0);
+        // The worker waits for its buffer before it builds the next item;
+        // if it has stopped, nobody needs it back.
+        let _ = self.spent.send(tokens);
+        if let Some((dir, shard, version)) = step {
+            let spill = match spill {
+                Some(spill) => spill,
+                None => load_spill(dir, shard, version)?,
+            };
+            state.install_spill(&spill, shard, version, k)?;
+        }
+        Ok(())
+    }
+}
+
+/// What the prefetch worker reads from: the source and the spill directory,
+/// never anything the sampling thread mutates.
+struct Prefetcher<'a, S: ?Sized> {
+    source: &'a S,
+    dir: PathBuf,
+    m: usize,
+}
+
+impl<S: DocShardSource + ?Sized> Prefetcher<'_, S> {
+    /// Builds every item in order, handing each over before building the
+    /// next in the buffer the sampling thread returns, and stops at the
+    /// first failure or once the sampling thread has dropped its end.
+    fn run(
+        self,
+        fresh: bool,
+        steps: Range<u64>,
+        items: SyncSender<Handoff>,
+        spent: Receiver<ShardTokens>,
+    ) {
+        let n_shards = self.source.n_shards();
+        // A fresh fit first loads every shard's tokens for the initial
+        // draw. With a single shard a step's spill is the one the step
+        // before it is still writing, so the sampling thread reads it.
+        let init = (0..if fresh { n_shards } else { 0 }).map(|s| (s, None));
+        let steps = steps.map(|step| {
+            let s = (step % n_shards as u64) as usize;
+            (s, (n_shards > 1).then_some(step / n_shards as u64))
+        });
+        let mut first = ShardTokens::default();
+        if let Some((n_tokens, n_docs)) = largest_shard(self.source) {
+            first.reserve_exact(n_tokens, n_docs);
+        }
+        let mut buffer = Some(first);
+        for (s, version) in init.chain(steps) {
+            let Some(tokens) = buffer.take().or_else(|| spent.recv().ok()) else {
+                return;
+            };
+            let item =
+                std::panic::catch_unwind(AssertUnwindSafe(|| self.build(tokens, s, version)));
+            let failed = !matches!(item, Ok(Ok(_)));
+            if items.send(item).is_err() || failed {
+                return;
+            }
+        }
+    }
+
+    /// Shard `s`'s token arrays, loaded into `tokens`, and, given a
+    /// version, its spill.
+    fn build(
+        &self,
+        mut tokens: ShardTokens,
+        s: usize,
+        version: Option<u64>,
+    ) -> Result<Fetched, ResilienceError> {
+        tokens.load_streamed(self.source, s, self.m);
+        let spill = version.map(|v| load_spill(&self.dir, s, v)).transpose()?;
+        Ok(Fetched { tokens, spill })
     }
 }
 
@@ -287,7 +529,14 @@ impl<'a, S: DocShardSource + ?Sized> ShardStore<'a, S> {
             None => None,
         };
         let n_states = if spill.is_some() { 1 } else { n_shards };
-        let states = (0..n_states).map(|_| ShardState::default()).collect();
+        let mut states: Vec<ShardState> = (0..n_states).map(|_| ShardState::default()).collect();
+        if let Some((n_tokens, n_docs)) = spill.as_ref().and_then(|_| largest_shard(source)) {
+            // The one buffer every shard visits, sized once for the largest.
+            let state = &mut states[0];
+            state.tokens.reserve_exact(n_tokens, n_docs);
+            state.tok_z.reserve_exact(n_tokens);
+            state.n_dk.reserve_exact(n_docs * k);
+        }
         Ok(ShardStore {
             source,
             k,
@@ -297,29 +546,46 @@ impl<'a, S: DocShardSource + ?Sized> ShardStore<'a, S> {
         })
     }
 
-    /// A fresh fit: discards stale spills, then draws the initial topic
-    /// assignments shard by shard from one sequential RNG in global
-    /// document order, adding them to `n_kw`/`n_k`.
-    pub(crate) fn init(
+    /// A fresh fit's shards, with stale spills discarded; see
+    /// [`ShardStore::draw_initial`].
+    pub(crate) fn fresh(
         source: &'a S,
         k: usize,
         m: usize,
         spill_dir: Option<&Path>,
-        rng: &mut StdRng,
-        n_kw: &mut Matrix,
-        n_k: &mut [f64],
     ) -> Result<Self, ResilienceError> {
-        let mut store = Self::new(source, k, m, spill_dir)?;
+        let store = Self::new(source, k, m, spill_dir)?;
         if let Some(spill) = &store.spill {
             clear_spills(&spill.dir)?;
         }
-        for s in 0..source.n_shards() {
-            let state = store.slot(s);
-            state.load_tokens(&source.shard_docs(s), k, m);
-            state.draw_topics(rng, k, n_kw, n_k);
-            store.leave(s, 0)?;
-        }
         Ok(store)
+    }
+
+    /// Draws a fresh fit's initial topic assignments shard by shard from
+    /// one sequential RNG in global document order, adding them to
+    /// `n_kw`/`n_k`. Spilled shards take their tokens from `prefetch`,
+    /// started with `fresh` set, and are written out at version 0.
+    pub(crate) fn draw_initial(
+        &mut self,
+        prefetch: Option<&Prefetch>,
+        rng: &mut StdRng,
+        n_kw: &mut Matrix,
+        n_k: &mut [f64],
+    ) -> Result<(), ResilienceError> {
+        let (k, m, source) = (self.k, self.m, self.source);
+        for s in 0..source.n_shards() {
+            let state = self.slot(s);
+            match prefetch {
+                Some(prefetch) => {
+                    prefetch.recv()?.install(state, k, None)?;
+                    state.n_dk.fill(0.0);
+                }
+                None => state.load_tokens(&source.shard_docs(s), k, m),
+            }
+            state.draw_topics(rng, k, n_kw, n_k);
+            self.leave(s, 0)?;
+        }
+        Ok(())
     }
 
     /// Reopens the shards of a fit checkpointed after `step` shard steps.
@@ -382,20 +648,56 @@ impl<'a, S: DocShardSource + ?Sized> ShardStore<'a, S> {
         &mut self.states[i]
     }
 
-    /// Shard `s` at the start of sweep `sweep`, ready to sample; spilled
-    /// shards are re-read from their documents and their spill.
+    /// Starts the prefetch worker of a spilled fit on `scope`: one thread
+    /// that builds, in order, the tokens of every shard for the initial
+    /// draw when `fresh` is set, then the input of every step in `steps` —
+    /// each one item ahead of its consumer, since the rendezvous channel
+    /// holds exactly one shard in flight. The worker starts on an item
+    /// once the one before it is handed over, so the item before that has
+    /// been fully processed, spill written; step `t`'s spill is written by
+    /// the item `n_shards` before it, which is that far back whenever there
+    /// are two shards or more. In memory, or with nothing to fetch, no
+    /// thread starts.
+    pub(crate) fn prefetch<'scope>(
+        &self,
+        scope: &'scope Scope<'scope, '_>,
+        fresh: bool,
+        steps: Range<u64>,
+    ) -> Option<Prefetch>
+    where
+        'a: 'scope,
+    {
+        let spill = self.spill.as_ref().filter(|_| fresh || !steps.is_empty())?;
+        let worker = Prefetcher {
+            source: self.source,
+            dir: spill.dir.clone(),
+            m: self.m,
+        };
+        let (items_tx, items) = std::sync::mpsc::sync_channel(0);
+        let (spent, spent_rx) = std::sync::mpsc::sync_channel(1);
+        std::thread::Builder::new()
+            .name("hlm-gibbs-prefetch".into())
+            .spawn_scoped(scope, move || worker.run(fresh, steps, items_tx, spent_rx))
+            .expect("spawn the shard prefetch thread");
+        Some(Prefetch { items, spent })
+    }
+
+    /// Shard `s` at the start of sweep `sweep`, ready to sample. A spilled
+    /// shard is installed from `next`, this step's prefetched input, into
+    /// the one reused buffer and its spill decoded there.
     pub(crate) fn visit(
         &mut self,
         s: usize,
         sweep: u64,
+        next: Option<Prefetched<'_>>,
     ) -> Result<&mut ShardState, ResilienceError> {
-        let (k, m, source) = (self.k, self.m, self.source);
+        let k = self.k;
         let Some(spill) = &self.spill else {
             return Ok(&mut self.states[s]);
         };
+        let next = next.expect("a spilled shard is visited with its prefetched input");
         let state = &mut self.states[0];
-        state.load_tokens(&source.shard_docs(s), k, m);
-        read_spill(&spill.dir, s, sweep, k, state)?;
+        next.install(state, k, Some((&spill.dir, s, sweep)))?;
         Ok(state)
     }
 
@@ -506,28 +808,31 @@ fn write_spill(
     Ok(())
 }
 
-/// Reads a shard's spill at an exact version into `state`, whose tokens
-/// must already be loaded, verifying the checksum, the format and that the
-/// shapes match those tokens.
-fn read_spill(
-    dir: &Path,
-    shard: usize,
-    version: u64,
-    k: usize,
-    state: &mut ShardState,
-) -> Result<(), ResilienceError> {
-    let rec = hlm_obs::global();
-    let t0 = rec.is_enabled().then(std::time::Instant::now);
+/// A spill file read whole with its checksum verified, and the seconds the
+/// read and the check took.
+struct VerifiedSpill {
+    path: PathBuf,
+    bytes: Vec<u8>,
+    read_seconds: f64,
+}
+
+/// Reads a shard's spill at an exact version and verifies its checksum;
+/// [`ShardState::install_spill`] checks and decodes the rest.
+fn load_spill(dir: &Path, shard: usize, version: u64) -> Result<VerifiedSpill, ResilienceError> {
+    let t0 = std::time::Instant::now();
     let path = spill_path(dir, shard, version);
     let bytes = std::fs::read(&path).map_err(|e| ResilienceError::io("read spill", e))?;
-    state
-        .decode(&bytes, shard, version, k)
-        .map_err(|what| ResilienceError::corrupt(format!("spill {}: {what}", path.display())))?;
-    if let Some(t0) = t0 {
-        rec.add("lda.spill.bytes_read", bytes.len() as u64);
-        rec.observe("lda.spill_seconds", t0.elapsed().as_secs_f64());
+    if let Err(what) = verify_spill(&bytes) {
+        return Err(ResilienceError::corrupt(format!(
+            "spill {}: {what}",
+            path.display()
+        )));
     }
-    Ok(())
+    Ok(VerifiedSpill {
+        path,
+        bytes,
+        read_seconds: t0.elapsed().as_secs_f64(),
+    })
 }
 
 /// Encodes one shard's state as a v2 spill:
@@ -575,19 +880,9 @@ fn encode_spill(shard: usize, version: u64, tok_z: &[u16], n_dk: &[f64], k: usiz
     bytes
 }
 
-/// Decodes a v2 spill written by [`encode_spill`] into `tok_z` and `n_dk`
-/// (`n_docs × k`, overwritten in full), checking the trailer, the magic,
-/// the header against the expected shard, version and shape, and every row
-/// structurally. Returns what is wrong instead of panicking on any input.
-fn decode_spill(
-    bytes: &[u8],
-    shard: usize,
-    version: u64,
-    n_tokens: usize,
-    k: usize,
-    tok_z: &mut Vec<u16>,
-    n_dk: &mut [f64],
-) -> Result<(), &'static str> {
+/// Checks a spill's length and FNV-1a trailer and returns the body the
+/// trailer covers.
+fn verify_spill(bytes: &[u8]) -> Result<&[u8], &'static str> {
     if bytes.len() < SPILL_HEADER + 8 {
         return Err("truncated");
     }
@@ -595,6 +890,23 @@ fn decode_spill(
     if fnv1a(body) != le_u64(trailer) {
         return Err("checksum mismatch");
     }
+    Ok(body)
+}
+
+/// Decodes the body of a v2 spill written by [`encode_spill`], its trailer
+/// already verified ([`verify_spill`]), into `tok_z` and `n_dk`
+/// (`n_docs × k`, overwritten in full), checking the magic, the header
+/// against the expected shard, version and shape, and every row
+/// structurally. Returns what is wrong instead of panicking on any input.
+fn decode_spill_body(
+    body: &[u8],
+    shard: usize,
+    version: u64,
+    n_tokens: usize,
+    k: usize,
+    tok_z: &mut Vec<u16>,
+    n_dk: &mut [f64],
+) -> Result<(), &'static str> {
     if &body[..8] == SPILL_MAGIC_V1 {
         return Err("dense spill format v1 from an older build is not read; \
                     restart the fit instead of resuming");
@@ -673,6 +985,17 @@ fn expected_version(step: u64, n_shards: usize, shard: usize) -> u64 {
     sweep + u64::from((shard as u64) < done)
 }
 
+/// The most tokens and the most documents in any one shard, if the source
+/// knows every shard's token count without reading it. Buffers sized to
+/// these once never grow, so no shard leaves a freed smaller block behind.
+fn largest_shard<S: DocShardSource + ?Sized>(source: &S) -> Option<(usize, usize)> {
+    (0..source.n_shards()).try_fold((0, 0), |(n_tokens, n_docs), s| {
+        let (lo, hi) = source.shard_span(s);
+        let tokens = source.shard_tokens(s)?;
+        Some((n_tokens.max(tokens), n_docs.max(hi - lo)))
+    })
+}
+
 fn validate_spans<S: DocShardSource + ?Sized>(source: &S) {
     let n_shards = source.n_shards();
     assert!(n_shards > 0, "source must expose at least one shard");
@@ -699,6 +1022,10 @@ mod tests {
     use crate::unit_weights;
     use hlm_resilience::{CheckpointStore, MemIo, RunGuard, TrainControl};
     use rand::SeedableRng;
+    use std::cell::RefCell;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     /// Direct access to an out-of-core trainer's spill files.
     impl GibbsTrainer {
@@ -715,13 +1042,8 @@ mod tests {
         ) -> Result<(Vec<u16>, Vec<f64>), ResilienceError> {
             let mut state = ShardState::default();
             state.load_tokens(docs, k, self.config().vocab_size);
-            read_spill(
-                self.spill_dir.as_deref().unwrap(),
-                shard,
-                version,
-                k,
-                &mut state,
-            )?;
+            let spill = load_spill(self.spill_dir.as_deref().unwrap(), shard, version)?;
+            state.install_spill(&spill, shard, version, k)?;
             Ok((state.tok_z, state.n_dk))
         }
     }
@@ -921,7 +1243,15 @@ mod tests {
         let mut tok_z = Vec::new();
         // NaN fill: every `+0.0` in the output must come from the decoder.
         let mut n_dk = vec![f64::NAN; n_docs * k];
-        decode_spill(bytes, 3, 7, n_tokens, k, &mut tok_z, &mut n_dk)?;
+        decode_spill_body(
+            verify_spill(bytes)?,
+            3,
+            7,
+            n_tokens,
+            k,
+            &mut tok_z,
+            &mut n_dk,
+        )?;
         Ok((tok_z, n_dk))
     }
 
@@ -1158,6 +1488,196 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, ResilienceError::Corrupt { .. }), "{err}");
         assert!(err.to_string().contains("format v1"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    thread_local! {
+        /// What each thread that read a [`Hooked`] source holds until it
+        /// exits.
+        static HELD: RefCell<Vec<Arc<()>>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// Shards that run `hook` with the index of every `shard_docs` call
+    /// before serving it, and leave a share of `alive` with each thread that
+    /// calls, dropped only when that thread exits.
+    struct Hooked<'a> {
+        inner: MemDocShards<'a>,
+        calls: AtomicUsize,
+        hook: Box<dyn Fn(usize) + Sync + 'a>,
+        alive: Arc<()>,
+    }
+
+    impl<'a> Hooked<'a> {
+        fn new(inner: MemDocShards<'a>, hook: impl Fn(usize) + Sync + 'a) -> Self {
+            Hooked {
+                inner,
+                calls: AtomicUsize::new(0),
+                hook: Box::new(hook),
+                alive: Arc::new(()),
+            }
+        }
+
+        /// Waits until every thread that read the source has exited.
+        fn assert_readers_exit(&self) {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while Arc::strong_count(&self.alive) > 1 {
+                assert!(
+                    Instant::now() < deadline,
+                    "a thread that read the shards is still running"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }
+
+    impl DocShardSource for Hooked<'_> {
+        fn n_docs(&self) -> usize {
+            self.inner.n_docs()
+        }
+
+        fn n_shards(&self) -> usize {
+            self.inner.n_shards()
+        }
+
+        fn shard_span(&self, s: usize) -> (usize, usize) {
+            self.inner.shard_span(s)
+        }
+
+        fn shard_docs(&self, s: usize) -> Cow<'_, [WeightedDoc]> {
+            (self.hook)(self.calls.fetch_add(1, Ordering::SeqCst));
+            HELD.with(|held| held.borrow_mut().push(Arc::clone(&self.alive)));
+            self.inner.shard_docs(s)
+        }
+    }
+
+    #[test]
+    fn spill_corrupted_while_the_step_before_samples_fails_its_step_after_that_checkpoint() {
+        let docs = planted_docs(256, 21);
+        let n_shards = 4;
+        let dir = work_dir("corrupt_ahead");
+        let trainer = GibbsTrainer::with_spill_dir(cfg(2, 17), &dir);
+        // Step 10 visits shard 2 in sweep 2 and reads its spill version 2.
+        // Its input is the worker's call 4 + 10 (after the four of the
+        // initial draw), made while step 9 samples.
+        let (step, shard, version) = (10u64, 2, 2);
+        let target = trainer.spill_path(shard, version);
+        let source = Hooked::new(MemDocShards::new(&docs, n_shards), |call| {
+            if call == n_shards + step as usize {
+                let mut bytes = std::fs::read(&target).unwrap();
+                let mid = bytes.len() / 2;
+                bytes[mid] ^= 1;
+                std::fs::write(&target, bytes).unwrap();
+            }
+        });
+        let store = CheckpointStore::new(Box::new(MemIo::new()));
+        let mut ctrl = TrainControl::new(GIBBS_CHECKPOINT_KIND, &store);
+        let err = trainer.fit_resumable(&source, &mut ctrl, None).unwrap_err();
+        assert!(matches!(err, ResilienceError::Corrupt { .. }), "{err}");
+        let name = format!("gibbs_shard_{shard:05}_v{version}.bin");
+        assert!(err.to_string().contains(&name), "{err}");
+        let last = store.latest_good(GIBBS_CHECKPOINT_KIND).unwrap().unwrap();
+        assert_eq!(
+            last.iteration, step,
+            "the step before the corrupt spill commits its checkpoint first"
+        );
+        source.assert_readers_exit();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn abort_with_a_shard_in_flight_stops_the_worker_and_resumes_bit_identically() {
+        let docs = planted_docs(256, 22);
+        let c = cfg(2, 19);
+        let full = GibbsTrainer::new(c.clone()).fit(&docs);
+        // The worker is always one item ahead, so when step 13 aborts its
+        // input is being built or waits to be handed over.
+        let abort = || RunGuard::unlimited().abort_at_iteration(13);
+        let in_memory_err = GibbsTrainer::new(c.clone())
+            .fit_resumable(
+                &MemDocShards::new(&docs, 4),
+                &mut TrainControl::noop().with_guard(abort()),
+                None,
+            )
+            .unwrap_err();
+
+        let dir = work_dir("abort_ahead");
+        let trainer = GibbsTrainer::with_spill_dir(c, &dir);
+        let source = Hooked::new(MemDocShards::new(&docs, 4), |_| {});
+        let store = CheckpointStore::new(Box::new(MemIo::new()));
+        let mut ctrl = TrainControl::new(GIBBS_CHECKPOINT_KIND, &store).with_guard(abort());
+        let err = trainer.fit_resumable(&source, &mut ctrl, None).unwrap_err();
+        assert!(
+            matches!(err, ResilienceError::Cancelled { iteration: 13 }),
+            "{err}"
+        );
+        assert_eq!(err.to_string(), in_memory_err.to_string());
+        source.assert_readers_exit();
+
+        let ckpt = store.latest_good(GIBBS_CHECKPOINT_KIND).unwrap().unwrap();
+        assert_eq!(ckpt.iteration, 13);
+        let resumed = trainer
+            .fit_resumable(&source, &mut TrainControl::noop(), Some(&ckpt))
+            .unwrap();
+        assert_eq!(resumed.phi(), full.phi(), "resume must be bit-identical");
+        assert_eq!(resumed.alpha(), full.alpha());
+        source.assert_readers_exit();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn single_shard_spilled_fit_matches_in_memory_through_kill_and_resume() {
+        // With one shard the worker prefetches tokens only: the next spill
+        // is the one the current step writes, read on the sampling thread.
+        let docs = planted_docs(150, 23);
+        let c = cfg(2, 29);
+        let full = GibbsTrainer::new(c.clone()).fit(&docs);
+        let dir = work_dir("single");
+        let trainer = GibbsTrainer::with_spill_dir(c, &dir);
+        let source = MemDocShards::new(&docs, 1);
+        assert_eq!(trainer.fit(&source).phi(), full.phi());
+
+        let store = CheckpointStore::new(Box::new(MemIo::new()));
+        let mut ctrl = TrainControl::new(GIBBS_CHECKPOINT_KIND, &store)
+            .with_guard(RunGuard::unlimited().abort_at_iteration(25));
+        assert!(trainer
+            .fit_resumable(&source, &mut ctrl, None)
+            .unwrap_err()
+            .is_interruption());
+        let ckpt = store.latest_good(GIBBS_CHECKPOINT_KIND).unwrap().unwrap();
+        let resumed = trainer
+            .fit_resumable(&source, &mut TrainControl::noop(), Some(&ckpt))
+            .unwrap();
+        assert_eq!(resumed.phi(), full.phi());
+        assert_eq!(resumed.alpha(), full.alpha());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_panic_reading_ahead_resurfaces_at_its_step_with_its_message() {
+        let docs = planted_docs(256, 24);
+        let dir = work_dir("panic_ahead");
+        let trainer = GibbsTrainer::with_spill_dir(cfg(2, 31), &dir);
+        // Call 4 + 6 builds step 6's input while step 5 samples.
+        let source = Hooked::new(MemDocShards::new(&docs, 4), |call| {
+            if call == 4 + 6 {
+                panic!("unreadable shard while streaming: injected");
+            }
+        });
+        let store = CheckpointStore::new(Box::new(MemIo::new()));
+        let mut ctrl = TrainControl::new(GIBBS_CHECKPOINT_KIND, &store);
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            trainer.fit_resumable(&source, &mut ctrl, None)
+        }));
+        let payload = caught.expect_err("the worker's panic reaches the caller");
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or_default();
+        assert_eq!(message, "unreadable shard while streaming: injected");
+        let last = store.latest_good(GIBBS_CHECKPOINT_KIND).unwrap().unwrap();
+        assert_eq!(last.iteration, 6, "steps before the panic are checkpointed");
+        source.assert_readers_exit();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -147,6 +147,10 @@ fn recorder_is_a_pure_observer_and_sinks_keep_their_schema() {
     let (shard_steps, shard_sum) = hist("lda.gibbs.shard_seconds");
     assert_eq!(sweeps, 80, "one sweep observation per sweep");
     assert_eq!(shard_steps, 80 * n_shards, "one shard observation per step");
+    // The sampling thread waits on the prefetch worker once per spilled
+    // shard step, for that step's input.
+    let (waits, _) = hist("lda.gibbs.prefetch_wait_seconds");
+    assert_eq!(waits, 80 * n_shards, "one prefetch wait per shard step");
     assert!(
         sweep_sum >= shard_sum,
         "sweeps {sweep_sum}s must cover their shard steps {shard_sum}s"
